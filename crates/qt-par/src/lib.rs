@@ -32,9 +32,9 @@
 
 #![warn(missing_docs)]
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Process-global pool size, parsed from `QT_THREADS` exactly once.
 static CONFIGURED: OnceLock<usize> = OnceLock::new();
@@ -47,6 +47,44 @@ static TASKS: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     /// Per-thread override installed by [`with_threads`].
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Innermost [`count_tasks`] scope active on this thread (inherited
+    /// by the workers this crate spawns).
+    static SCOPE: RefCell<Option<Arc<TaskScope>>> = const { RefCell::new(None) };
+}
+
+/// One [`count_tasks`] counter, chained to the scope it is nested in.
+struct TaskScope {
+    tasks: AtomicU64,
+    parent: Option<Arc<TaskScope>>,
+}
+
+/// Run `f` with `scope` as this thread's innermost task scope, restoring
+/// the previous one on exit (including on panic).
+fn in_scope<R>(scope: Option<Arc<TaskScope>>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<TaskScope>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            SCOPE.with(|s| *s.borrow_mut() = prev);
+        }
+    }
+    let _restore = Restore(SCOPE.with(|s| s.replace(scope)));
+    f()
+}
+
+fn current_scope() -> Option<Arc<TaskScope>> {
+    SCOPE.with(|s| s.borrow().clone())
+}
+
+/// Count `n` dispatched chunk tasks: process-wide and in every
+/// [`count_tasks`] scope enclosing the issuing thread.
+fn note_tasks(n: u64) {
+    TASKS.fetch_add(n, Ordering::Relaxed);
+    let mut scope = current_scope();
+    while let Some(s) = scope {
+        s.tasks.fetch_add(n, Ordering::Relaxed);
+        scope = s.parent.clone();
+    }
 }
 
 /// The `QT_THREADS` value this process was configured with, if set.
@@ -103,13 +141,28 @@ pub fn tasks_executed() -> u64 {
     TASKS.load(Ordering::Relaxed)
 }
 
+/// Run `f` and return its result with the number of chunk tasks it
+/// issued: from the calling thread and from the worker threads this crate
+/// spawns on its behalf, at any nesting depth. Work issued concurrently by
+/// other threads is not counted, so the count is the same whether or not
+/// other workloads run alongside. Nested scopes also count towards the
+/// enclosing ones.
+pub fn count_tasks<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let scope = Arc::new(TaskScope {
+        tasks: AtomicU64::new(0),
+        parent: current_scope(),
+    });
+    let r = in_scope(Some(Arc::clone(&scope)), f);
+    (r, scope.tasks.load(Ordering::Relaxed))
+}
+
 /// Run `f(u)` for every `u in 0..units`, distributing contiguous index
 /// ranges over the pool. `f` must only touch state disjoint per unit.
 pub fn parallel_for(units: usize, f: impl Fn(usize) + Sync) {
     if units == 0 {
         return;
     }
-    TASKS.fetch_add(units as u64, Ordering::Relaxed);
+    note_tasks(units as u64);
     let t = threads().min(units);
     if t <= 1 {
         for u in 0..units {
@@ -117,13 +170,17 @@ pub fn parallel_for(units: usize, f: impl Fn(usize) + Sync) {
         }
         return;
     }
+    let scope = current_scope();
     std::thread::scope(|s| {
         for (lo, hi) in ranges(units, t) {
             let f = &f;
+            let scope = scope.clone();
             s.spawn(move || {
-                for u in lo..hi {
-                    f(u);
-                }
+                in_scope(scope, || {
+                    for u in lo..hi {
+                        f(u);
+                    }
+                })
             });
         }
     });
@@ -142,7 +199,7 @@ pub fn parallel_map_slices<T: Sync, R: Send>(
     if nchunks == 0 {
         return Vec::new();
     }
-    TASKS.fetch_add(nchunks as u64, Ordering::Relaxed);
+    note_tasks(nchunks as u64);
     let t = threads().min(nchunks);
     let run = |c: usize| {
         let off = c * chunk_len;
@@ -152,12 +209,14 @@ pub fn parallel_map_slices<T: Sync, R: Send>(
     if t <= 1 {
         return (0..nchunks).map(run).collect();
     }
+    let scope = current_scope();
     let mut out: Vec<Vec<R>> = std::thread::scope(|s| {
         let handles: Vec<_> = ranges(nchunks, t)
             .into_iter()
             .map(|(lo, hi)| {
                 let run = &run;
-                s.spawn(move || (lo..hi).map(run).collect::<Vec<R>>())
+                let scope = scope.clone();
+                s.spawn(move || in_scope(scope, || (lo..hi).map(run).collect::<Vec<R>>()))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker")).collect()
@@ -213,7 +272,7 @@ pub fn parallel_for_parts_mut<T: Send, R: Send>(
     if nparts == 0 {
         return Vec::new();
     }
-    TASKS.fetch_add(nparts as u64, Ordering::Relaxed);
+    note_tasks(nparts as u64);
     let t = threads().min(nparts);
     if t <= 1 {
         let mut out = Vec::with_capacity(nparts);
@@ -227,6 +286,7 @@ pub fn parallel_for_parts_mut<T: Send, R: Send>(
         }
         return out;
     }
+    let scope = current_scope();
     let mut out: Vec<Vec<R>> = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(t);
         let mut rest = data;
@@ -241,17 +301,20 @@ pub fn parallel_for_parts_mut<T: Send, R: Send>(
             debug_assert_eq!(part, lo);
             part = hi;
             let f = &f;
+            let scope = scope.clone();
             handles.push(s.spawn(move || {
-                let mut local = Vec::with_capacity(hi - lo);
-                let mut rest = head;
-                let mut off = base_off;
-                for (p, &len) in part_lens.iter().enumerate().take(hi).skip(lo) {
-                    let (chunk, tail) = rest.split_at_mut(len);
-                    local.push(f(p, off, chunk));
-                    off += len;
-                    rest = tail;
-                }
-                local
+                in_scope(scope, || {
+                    let mut local = Vec::with_capacity(hi - lo);
+                    let mut rest = head;
+                    let mut off = base_off;
+                    for (p, &len) in part_lens.iter().enumerate().take(hi).skip(lo) {
+                        let (chunk, tail) = rest.split_at_mut(len);
+                        local.push(f(p, off, chunk));
+                        off += len;
+                        rest = tail;
+                    }
+                    local
+                })
             }));
         }
         handles.into_iter().map(|h| h.join().expect("worker")).collect()
@@ -384,16 +447,49 @@ mod tests {
     #[test]
     fn task_counter_is_thread_count_invariant() {
         let data = vec![1.0f32; 100];
-        let before = tasks_executed();
-        with_threads(1, || {
-            let _ = parallel_map_slices(&data, 16, |_, _, c| c.len());
+        let count_at = |t: usize| {
+            count_tasks(|| {
+                with_threads(t, || {
+                    let _ = parallel_map_slices(&data, 16, |_, _, c| c.len());
+                })
+            })
+            .1
+        };
+        assert_eq!(count_at(1), 7); // ceil(100 / 16)
+        assert_eq!(count_at(7), 7);
+    }
+
+    #[test]
+    fn count_tasks_includes_nested_worker_calls() {
+        // 4 outer units on 4 threads, each issuing a 3-chunk inner map on
+        // its worker thread: 4 + 4·3 tasks, all attributed to this scope.
+        let data = [0u8; 30];
+        for t in [1, 4] {
+            let ((), n) = count_tasks(|| {
+                with_threads(t, || {
+                    parallel_for(4, |_| {
+                        let _ = parallel_map_slices(&data, 10, |_, _, c| c.len());
+                    })
+                })
+            });
+            assert_eq!(n, 16, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn count_tasks_nests_and_ignores_other_threads() {
+        let data = [0u8; 8];
+        let (inner, outer) = count_tasks(|| {
+            let _ = parallel_map_slices(&data, 4, |_, _, c| c.len());
+            // A thread outside qt-par issues work that is not this scope's.
+            std::thread::spawn(move || {
+                let _ = parallel_map_slices(&data, 1, |_, _, c| c.len());
+            })
+            .join()
+            .expect("outside thread");
+            count_tasks(|| parallel_for(3, |_| {})).1
         });
-        let serial_tasks = tasks_executed() - before;
-        let mid = tasks_executed();
-        with_threads(7, || {
-            let _ = parallel_map_slices(&data, 16, |_, _, c| c.len());
-        });
-        assert_eq!(tasks_executed() - mid, serial_tasks);
-        assert_eq!(serial_tasks, 7); // ceil(100 / 16)
+        assert_eq!(inner, 3);
+        assert_eq!(outer, 2 + 3);
     }
 }

@@ -103,6 +103,15 @@ pub fn evaluate_lm_perplexity(
 
 /// Greedy autoregressive decode of an encoder-decoder model: returns the
 /// generated token sequence (without BOS/EOS) for each encoder row.
+///
+/// Incremental: the encoder runs once, and step `t` feeds one token per
+/// row at position `t` through the decoder's key/value caches
+/// ([`Model::try_decode_step`]). A row stops at EOS or after `max_len`
+/// tokens, so at most `max_len` decoder steps run.
+///
+/// # Panics
+///
+/// Panics if the context's cancellation token aborts the decode.
 pub fn greedy_decode(
     model: &Model,
     qctx: &QuantCtx,
@@ -110,33 +119,20 @@ pub fn greedy_decode(
     max_len: usize,
 ) -> Vec<Vec<usize>> {
     let b = enc.batch;
-    let dec_len = max_len + 2;
+    let v = model.cfg.vocab;
     let mut generated: Vec<Vec<usize>> = vec![Vec::new(); b];
     let mut done = vec![false; b];
-    for step in 0..max_len + 1 {
-        // build the current decoder batch: BOS + generated (padded)
-        let mut ids = Vec::with_capacity(b * dec_len);
-        let mut valid = Vec::with_capacity(b * dec_len);
-        for g in &generated {
-            ids.push(tokens::BOS);
-            ids.extend_from_slice(g);
-            ids.resize(ids.len() + dec_len - 1 - g.len(), tokens::PAD);
-            let mut v = vec![true; 1 + g.len()];
-            v.resize(dec_len, false);
-            valid.extend_from_slice(&v);
-        }
-        let dec = TokenBatch::with_mask(ids, b, dec_len, valid);
-        let mut tape = Tape::new();
-        let out = model.forward(&mut tape, qctx, enc, Some(&dec), TrainMode::Frozen);
-        let logits = tape.value(out.logits); // [B, dec_len, V]
-        let v = model.cfg.vocab;
-        let mut all_done = true;
+    let mut last = vec![tokens::BOS; b];
+    let mut state = model.try_encode(qctx, enc).expect("decode cancelled");
+    for _ in 0..max_len {
+        let logits = model
+            .try_decode_step(qctx, &mut state, &last)
+            .expect("decode cancelled"); // [B, 1, V]
         for bi in 0..b {
             if done[bi] {
                 continue;
             }
-            let pos = step; // predict from the last valid position
-            let row = &logits.data()[(bi * dec_len + pos) * v..(bi * dec_len + pos + 1) * v];
+            let row = &logits.data()[bi * v..(bi + 1) * v];
             let (tok, _) = row
                 .iter()
                 .enumerate()
@@ -147,14 +143,14 @@ pub fn greedy_decode(
                         acc
                     }
                 });
-            if tok == tokens::EOS || generated[bi].len() >= max_len {
+            if tok == tokens::EOS {
                 done[bi] = true;
             } else {
                 generated[bi].push(tok);
-                all_done = false;
+                last[bi] = tok;
             }
         }
-        if all_done && done.iter().all(|&d| d) {
+        if done.iter().all(|&d| d) {
             break;
         }
     }

@@ -31,7 +31,7 @@ pub use cancel::{CancelCause, CancelToken, ForwardCancelled};
 pub use config::{ModelKind, TransformerConfig};
 pub use heads::TaskHead;
 pub use lora::LoraConfig;
-pub use model::{Model, ModelOutput, TokenBatch, TrainMode};
+pub use model::{DecodeState, Model, ModelOutput, TokenBatch, TrainMode};
 pub use params::ParamStore;
 pub use probe::ProbeStore;
 pub use qctx::QuantCtx;

@@ -278,12 +278,13 @@ fn chunk_task_counter_is_thread_count_invariant() {
     let a = Tensor::randn(&[64, 64], &mut rng);
     let b = Tensor::randn(&[64, 64], &mut rng);
     let count_at = |t: usize| {
-        qt_par::with_threads(t, || {
-            let before = qt_par::tasks_executed();
-            let _ = a.matmul(&b);
-            let _ = FakeQuant::new(ElemFormat::P8E1).quantize(&a);
-            qt_par::tasks_executed() - before
+        qt_par::count_tasks(|| {
+            qt_par::with_threads(t, || {
+                let _ = a.matmul(&b);
+                let _ = FakeQuant::new(ElemFormat::P8E1).quantize(&a);
+            })
         })
+        .1
     };
     let serial = count_at(1);
     for t in [2, 4, 8] {
