@@ -40,7 +40,11 @@
 //!   into the report, trace counters, and telemetry.
 //!
 //! Everything runs in a single-threaded discrete-event simulation on a
-//! virtual microsecond clock; the forward passes inside run on the real
+//! virtual microsecond clock, over qt-serve's [`qt_serve::EventQueue`];
+//! every service episode is one run of the qt-serve
+//! [`qt_serve::Engine::episode`] state machine, with the replica's crash
+//! boundary and the failover exit plugged in. The forward passes inside
+//! run on the real
 //! qt-par kernels, which are bitwise deterministic at any `QT_THREADS` —
 //! so a [`FleetReport`] (and its JSON) is byte-identical across thread
 //! counts and replays.

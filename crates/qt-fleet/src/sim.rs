@@ -2,32 +2,35 @@
 //!
 //! One single-threaded discrete-event loop on a virtual microsecond
 //! clock drives every replica: arrivals are routed by the fleet
-//! [`Router`], service episodes run on the clock-free qt-serve
-//! [`qt_serve::Engine`] attempt API, crashes truncate in-flight work at
-//! the exact outage instant, and recovered replicas re-earn traffic
-//! through half-open probing. The forward passes inside execute on the
-//! real qt-par kernels, whose results are bitwise identical at any
-//! `QT_THREADS` — so the whole [`FleetReport`] is too.
+//! [`Router`], each service pickup runs one episode of the clock-free
+//! qt-serve [`qt_serve::Engine::episode`] state machine, crashes
+//! truncate in-flight work at the exact outage instant, and recovered
+//! replicas re-earn traffic through half-open probing. The forward
+//! passes inside execute on the real qt-par kernels, whose results are
+//! bitwise identical at any `QT_THREADS` — so the whole [`FleetReport`]
+//! is too.
 //!
-//! Event ordering at equal timestamps is fixed by kind rank: completions
-//! free workers first, then failed requests re-route, then lifecycle
-//! transitions fire, then storage repairs land, then autoscale boots
-//! complete, then new arrivals are admitted, then the adaptive control
-//! plane evaluates, then scrub windows run, then snapshots are written.
-//! Ties within a kind break by insertion sequence. This total order is what makes crash-instant races (a pass
-//! finishing at exactly `down_at`, a failover leaving as the queue
-//! drains) deterministic instead of racy.
+//! Events run on [`qt_serve::EventQueue`]. Ordering at equal timestamps
+//! is fixed by kind rank: completions free workers first, then failed
+//! requests re-route, then lifecycle transitions fire, then storage
+//! repairs land, then autoscale boots complete, then new arrivals are
+//! admitted, then the adaptive control plane evaluates, then scrub
+//! windows run, then snapshots are written. Ties within a kind break by
+//! insertion sequence. This total order is what makes crash-instant
+//! races (a pass finishing at exactly `down_at`, a failover leaving as
+//! the queue drains) deterministic instead of racy.
 //!
 //! The adaptive control plane (qt-adapt) hangs off the same loop: a
 //! periodic `AdaptTick` reads only sim-internal state (queue depths,
 //! attempt durations) — never telemetry — so attaching an observer
 //! still changes nothing about the run.
 //!
-//! Crash truncation is computed *synchronously* at pickup: an episode's
+//! Crash truncation is computed *synchronously* at pickup: the episode's
+//! crash boundary is the replica's next scheduled outage, so each pass's
 //! block budget is the minimum of its deadline budget and the blocks
-//! that fit before the replica's next scheduled outage, so no completion
-//! event ever lands on a dead replica and the simulation needs no event
-//! cancellation machinery.
+//! that fit before that outage. No completion event ever lands on a
+//! dead replica, and the simulation needs no event cancellation
+//! machinery.
 
 use crate::config::FleetConfig;
 use crate::load::FleetRequest;
@@ -43,16 +46,14 @@ use qt_adapt::{
 };
 use qt_quant::HealthWindow;
 use qt_robust::{cell_seed, FaultSource, LifecycleEvent, NoFaults};
-use qt_serve::{integrity_health, pristine_codes_for_region, Backoff, BreakerState, Request};
+use qt_serve::{
+    integrity_health, pristine_codes_for_region, BreakerState, Episode, EpisodeEnd, EpisodeSpec,
+    EventQueue, Ranked, Request, Route,
+};
 use qt_telemetry::TelemetryHandle;
 use qt_trace::{LogHist, TraceHandle};
 use qt_transformer::Model;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Hard cap on forward attempts per request across the whole fleet, so
-/// a deadline-less request in a pathological fault environment still
-/// terminates.
-const ATTEMPT_HARD_CAP: u32 = 16;
+use std::collections::VecDeque;
 
 /// One request's mutable fleet-side state as it moves between replicas.
 #[derive(Debug, Clone)]
@@ -115,7 +116,7 @@ enum Ev {
     SnapshotTick,
 }
 
-impl Ev {
+impl Ranked for Ev {
     fn rank(&self) -> u8 {
         match self {
             Ev::Done(..) => 0,
@@ -131,79 +132,13 @@ impl Ev {
     }
 }
 
-/// Heap entry: min-ordered by (time, kind rank, insertion sequence).
-struct Entry {
-    at: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.ev.rank(), self.seq) == (other.at, other.ev.rank(), other.seq)
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.ev.rank(), other.seq).cmp(&(self.at, self.ev.rank(), self.seq))
-    }
-}
-
-/// How one service episode on one replica ended.
-enum EpisodeEnd {
-    /// Clean response at `at` (primary or degraded path).
-    Served {
-        primary: bool,
-        label: Option<usize>,
-        at: u64,
-    },
-    /// Deadline block budget exhausted at `at`.
-    Miss { at: u64 },
-    /// Local flagged retries exhausted (or the breaker tripped under
-    /// it): leave for another replica at `at`.
-    FailoverCorrupt { at: u64 },
-    /// The replica's scheduled outage landed mid-episode: leave at the
-    /// crash instant.
-    FailoverCrash { at: u64 },
-}
-
-/// One forward attempt's interval within an episode, kept so the
-/// telemetry plane can hang an `attempt` span per engine pass under the
-/// request's trace tree.
-struct AttemptSpan {
-    start_us: u64,
-    end_us: u64,
-    flagged: bool,
-    completed: bool,
-}
-
-/// One episode's outputs, applied to counters by the caller.
-struct Episode {
-    end: EpisodeEnd,
-    attempts: u32,
-    flagged: u32,
-    bits: u64,
-    /// A forward pass was actually cancelled by the crash boundary.
-    crash_interrupted: bool,
-    /// One entry per forward attempt, in execution order.
-    attempt_log: Vec<AttemptSpan>,
-}
-
 /// Run one service episode of `job` on `r` starting at `start_us`.
 ///
-/// The episode retries flagged primary attempts locally (with seeded
-/// backoff) up to the replica's retry budget, feeds every completed
-/// primary outcome to the replica's breaker, and ends in one of the
-/// four [`EpisodeEnd`]s. All time arithmetic is capped by both the
-/// request deadline and the replica's next scheduled outage, so the
-/// returned end time never lands inside a crash window.
+/// An adapter over the shared [`qt_serve::Engine::episode`]: the fleet
+/// supplies the gray-slowed block cost, the replica's next scheduled
+/// outage as the crash boundary, the request's fleet-wide attempt count
+/// and per-replica backoff stream, and — when the request may still
+/// fail over — the exit that leaves a tripped replica.
 fn run_episode(r: &Replica, job: &Job, start_us: u64, can_failover: bool, seed: u64) -> Episode {
     let mut per_block = r.spec.per_block_us.max(1);
     if let Some(g) = r.spec.gray_slowdown {
@@ -213,121 +148,36 @@ fn run_episode(r: &Replica, job: &Job, start_us: u64, can_failover: bool, seed: 
             per_block *= g.factor.max(1);
         }
     }
-    let max_local = r.spec.retry.max_attempts.max(1);
-    let crash_at = r.spec.crashes.next_down_after(start_us.saturating_sub(1));
-    let deadline = job.freq.req.deadline_us;
-    let mut backoff = Backoff::new(
-        r.spec.retry,
-        cell_seed(seed, job.freq.req.id as usize, r.id, job.failovers as usize),
-    );
-    let mut t = start_us;
-    let mut attempts = 0u32;
-    let mut flagged_local = 0u32;
-    let mut bits = 0u64;
-    let mut force_degraded = job.economy;
-    let mut attempt_log: Vec<AttemptSpan> = Vec::new();
-    let done = |end, attempts, flagged_local, bits, ci, attempt_log| Episode {
-        end,
-        attempts,
-        flagged: flagged_local,
-        bits,
-        crash_interrupted: ci,
-        attempt_log,
+    let spec = EpisodeSpec {
+        start_us,
+        per_block_us: per_block,
+        prior_attempts: job.attempts,
+        // A request that fails over must not replay the same backoff
+        // schedule on its new home.
+        backoff_seed: cell_seed(seed, job.freq.req.id as usize, r.id, job.failovers as usize),
+        crash_at: r.spec.crashes.next_down_after(start_us.saturating_sub(1)),
     };
-    loop {
-        if let Some(c) = crash_at {
-            if t >= c {
-                // Backoff (or pickup) straddled the outage: the request
-                // was on this replica when it died.
-                return done(EpisodeEnd::FailoverCrash { at: c }, attempts, flagged_local, bits, false, attempt_log);
-            }
-        }
-        if job.attempts + attempts >= ATTEMPT_HARD_CAP {
-            return done(EpisodeEnd::Miss { at: t }, attempts, flagged_local, bits, false, attempt_log);
-        }
-        let deadline_blocks = if deadline == Request::NO_DEADLINE {
-            u64::MAX
-        } else if t >= deadline {
-            return done(EpisodeEnd::Miss { at: t }, attempts, flagged_local, bits, false, attempt_log);
+    // Neither the episode nor anything it calls moves a breaker out of
+    // Open, so a trip mid-episode keeps every later attempt degraded.
+    let tripped = || r.breaker.borrow().state() == BreakerState::Open;
+    let route = |_| {
+        // Economy jobs get degraded service only. A quarantined storage
+        // region forces the degraded path too: the quantized plane is
+        // known-bad until repair re-quantizes it, and the BF16 path
+        // reads the untouched f32 masters.
+        if job.economy || r.shield_quarantined() || tripped() {
+            Route::Degraded
         } else {
-            (deadline - t) / per_block
-        };
-        if deadline_blocks == 0 {
-            return done(EpisodeEnd::Miss { at: t }, attempts, flagged_local, bits, false, attempt_log);
+            Route::Primary
         }
-        let crash_blocks = crash_at.map(|c| (c - t) / per_block).unwrap_or(u64::MAX);
-        if crash_blocks == 0 {
-            // Not even one block fits before the outage.
-            let c = crash_at.unwrap_or(t);
-            return done(EpisodeEnd::FailoverCrash { at: c }, attempts, flagged_local, bits, false, attempt_log);
-        }
-        let budget = deadline_blocks.min(crash_blocks);
-        // A quarantined storage region forces the degraded path: the
-        // quantized plane is known-bad until repair re-quantizes it, and
-        // the BF16 path reads the untouched f32 masters.
-        let primary = !force_degraded
-            && !r.shield_quarantined()
-            && r.breaker.borrow().state() != BreakerState::Open
-            && flagged_local < max_local;
-        let attempt_start = t;
-        let a = r
-            .engine()
-            .attempt(&job.freq.req, job.attempts + attempts, primary, budget);
-        attempts += 1;
-        bits += a.bits_flipped;
-        t += a.blocks * per_block;
-        if primary && a.completed {
-            r.breaker.borrow_mut().on_primary_outcome(&a.health, t);
-        }
-        let flagged_attempt = a.completed && HealthWindow::is_unhealthy(&a.health);
-        attempt_log.push(AttemptSpan {
-            start_us: attempt_start,
-            end_us: t,
-            flagged: flagged_attempt,
-            completed: a.completed,
-        });
-        if !a.completed {
-            if crash_blocks < deadline_blocks {
-                // The crash boundary, not the deadline, cut this pass.
-                let c = crash_at.unwrap_or(t);
-                return done(EpisodeEnd::FailoverCrash { at: c }, attempts, flagged_local, bits, true, attempt_log);
-            }
-            return done(EpisodeEnd::Miss { at: t }, attempts, flagged_local, bits, false, attempt_log);
-        }
-        if flagged_attempt {
-            // Flagged: this output never leaves the fleet.
-            flagged_local += 1;
-            let tripped = r.breaker.borrow().state() == BreakerState::Open;
-            if flagged_local >= max_local || tripped {
-                if can_failover {
-                    return done(
-                        EpisodeEnd::FailoverCorrupt { at: t },
-                        attempts,
-                        flagged_local,
-                        bits,
-                        false,
-                        attempt_log,
-                    );
-                }
-                // Nowhere to go: finish here on the degraded path.
-                force_degraded = true;
-            }
-            t += backoff.next_delay_us();
-            continue;
-        }
-        return done(
-            EpisodeEnd::Served {
-                primary,
-                label: a.label,
-                at: t,
-            },
-            attempts,
-            flagged_local,
-            bits,
-            false,
-            attempt_log,
-        );
-    }
+    };
+    r.engine().episode(
+        &job.freq.req,
+        spec,
+        route,
+        |h, t| r.breaker.borrow_mut().on_primary_outcome(h, t),
+        can_failover.then_some(&tripped as &dyn Fn() -> bool),
+    )
 }
 
 /// Mutable run accumulators, turned into the [`FleetReport`] at the end.
@@ -388,6 +238,15 @@ struct AdaptState {
 }
 
 impl AdaptState {
+    /// Replicas taking traffic: neither in reserve nor draining.
+    fn active(&self) -> usize {
+        self.admin_down
+            .iter()
+            .zip(&self.draining)
+            .filter(|(&d, &dr)| !d && !dr)
+            .count()
+    }
+
     fn new(cfg: &FleetConfig, n: usize) -> Option<Self> {
         if cfg.adapt_every_us == 0 {
             return None;
@@ -436,8 +295,7 @@ pub struct Fleet {
     router: Router,
     book: TenantBook,
     store: Box<dyn SnapStore>,
-    heap: BinaryHeap<Entry>,
-    seq: u64,
+    events: EventQueue<Ev>,
     acc: Acc,
     /// Optional telemetry plane; `None` costs nothing.
     telemetry: Option<TelemetryHandle>,
@@ -484,8 +342,7 @@ impl Fleet {
             busy: vec![0; n],
             replicas,
             store,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::default(),
             acc: Acc::default(),
             cfg,
             telemetry: None,
@@ -527,12 +384,6 @@ impl Fleet {
             }
             *seen = trs.len();
         }
-    }
-
-    fn push_ev(&mut self, at: u64, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, ev });
     }
 
     /// Count one Open-cooldown notch on every up-but-Open replica: the
@@ -784,7 +635,7 @@ impl Fleet {
         let ep = run_episode(&self.replicas[r], &job, now, can_failover, self.cfg.retry_seed);
         if let Some(tel) = self.telemetry.clone() {
             let mut sink = tel.borrow_mut();
-            for a in &ep.attempt_log {
+            for a in &ep.spans {
                 sink.attempt(
                     job.freq.req.id,
                     r,
@@ -799,7 +650,7 @@ impl Fleet {
             if a.gray.is_some() {
                 // Gray signal: completed-attempt durations (pure service
                 // time, backoff excluded) in this detector window.
-                for sp in ep.attempt_log.iter().filter(|sp| sp.completed) {
+                for sp in ep.spans.iter().filter(|sp| sp.completed) {
                     a.window_lat[r].push(sp.end_us - sp.start_us);
                 }
             }
@@ -813,23 +664,26 @@ impl Fleet {
             .and_then(|a| a.gray.as_ref())
             .is_some_and(|g| g.is_ejected(r));
         if still_ejected && self.replicas[r].breaker_state() == BreakerState::Closed {
-            let at = ep.attempt_log.last().map_or(now, |sp| sp.end_us);
+            let at = ep.spans.last().map_or(now, |sp| sp.end_us);
             self.replicas[r].breaker.get_mut().force_open(at);
         }
-        job.attempts += ep.attempts;
-        job.flagged += ep.flagged;
-        self.acc.flagged_attempts += ep.flagged as u64;
-        self.acc.bits_flipped += ep.bits;
+        let flagged = ep.flagged();
+        job.attempts += ep.attempts();
+        job.flagged += flagged;
+        self.acc.flagged_attempts += flagged as u64;
+        self.acc.bits_flipped += ep.bits_flipped;
         {
             let stats = &mut self.replicas[r].stats;
-            stats.flagged_attempts += ep.flagged as u64;
-            stats.bits_flipped += ep.bits;
+            stats.flagged_attempts += flagged as u64;
+            stats.bits_flipped += ep.bits_flipped;
             if ep.crash_interrupted {
                 stats.crash_interrupted += 1;
             }
         }
+        let at = ep.end_us;
+        let tenant = job.freq.tenant;
         match ep.end {
-            EpisodeEnd::Served { primary, label, at } => {
+            EpisodeEnd::Served { primary, label } => {
                 {
                     let recovered = self.replicas[r].last_recovery_us.is_some();
                     let stats = &mut self.replicas[r].stats;
@@ -847,39 +701,52 @@ impl Fleet {
                 } else {
                     FleetOutcome::ServedDegraded
                 };
-                let tenant = job.freq.tenant;
                 self.respond(&job, outcome, Some(r), label, at);
-                self.push_ev(at, Ev::Done(r, Some(tenant)));
+                self.events.push(at, Ev::Done(r, Some(tenant)));
             }
-            EpisodeEnd::Miss { at } => {
-                let tenant = job.freq.tenant;
+            EpisodeEnd::Miss => {
                 self.respond(&job, FleetOutcome::DeadlineMiss, Some(r), None, at);
-                self.push_ev(at, Ev::Done(r, Some(tenant)));
+                self.events.push(at, Ev::Done(r, Some(tenant)));
             }
-            EpisodeEnd::FailoverCorrupt { at } => {
+            EpisodeEnd::FailoverCorrupt | EpisodeEnd::FailoverCrash => {
+                let crash = ep.end == EpisodeEnd::FailoverCrash;
                 job.excluded.push(r);
                 job.failovers += 1;
                 self.acc.failovers += 1;
                 if let Some(tel) = self.telemetry.clone() {
-                    tel.borrow_mut().failover(at, job.freq.req.id, r, "corrupt");
+                    let why = if crash { "crash" } else { "corrupt" };
+                    tel.borrow_mut().failover(at, job.freq.req.id, r, why);
                 }
-                // The worker frees when the request leaves.
-                self.push_ev(at, Ev::Done(r, None));
-                self.push_ev(at, Ev::Failover(Box::new(job), DispatchCause::FailoverCorrupt));
-            }
-            EpisodeEnd::FailoverCrash { at } => {
-                job.excluded.push(r);
-                job.failovers += 1;
-                self.acc.failovers += 1;
-                self.acc.crash_failovers += 1;
-                if let Some(tel) = self.telemetry.clone() {
-                    tel.borrow_mut().failover(at, job.freq.req.id, r, "crash");
-                }
-                // No Done: this worker dies with the replica; the crash
-                // lifecycle event resets the whole replica's busy count.
-                self.push_ev(at, Ev::Failover(Box::new(job), DispatchCause::FailoverCrash));
+                let cause = if crash {
+                    // No Done: this worker dies with the replica; the crash
+                    // lifecycle event resets the whole replica's busy count.
+                    self.acc.crash_failovers += 1;
+                    DispatchCause::FailoverCrash
+                } else {
+                    // The worker frees when the request leaves.
+                    self.events.push(at, Ev::Done(r, None));
+                    DispatchCause::FailoverCorrupt
+                };
+                self.events.push(at, Ev::Failover(Box::new(job), cause));
             }
         }
+    }
+
+    /// Bring `r` back at `now` through the crash-recovery path: newest
+    /// snapshot loaded, breaker forced Open, traffic re-earned through
+    /// half-open probes. Returns whether the snapshot was corrupt.
+    fn rejoin(&mut self, r: usize, now: u64) -> bool {
+        let loaded = self.store.load(r);
+        let corrupt = matches!(&loaded, Err(qt_serve::SnapshotError::Corrupt(_)));
+        self.replicas[r].recover(loaded, now);
+        // recover() swaps in a fresh breaker with an empty transition
+        // log; restart the telemetry cursor so the new log streams from
+        // its beginning.
+        self.breaker_seen[r] = 0;
+        if let Some(tel) = self.telemetry.clone() {
+            tel.borrow_mut().recover(now, r, corrupt);
+        }
+        corrupt
     }
 
     /// One adaptive-control evaluation at `now`: brownout ladder, gray
@@ -988,10 +855,8 @@ impl Fleet {
             }
         }
 
+        let active = a.active();
         if let Some(p) = a.autoscale.as_mut() {
-            let active = (0..self.replicas.len())
-                .filter(|&r| !a.admin_down[r] && !a.draining[r])
-                .count();
             match p.observe(active, a.pending_up, pressure) {
                 ScaleDecision::Up => {
                     // Boot the lowest-id reserve replica; the cold start
@@ -1008,7 +873,7 @@ impl Fleet {
                             replica: Some(r),
                             detail: (active + a.pending_up) as f64,
                         });
-                        self.push_ev(now + p.config().cold_start_us, Ev::Scale(r));
+                        self.events.push(now + p.config().cold_start_us, Ev::Scale(r));
                         if let Some(tel) = self.telemetry.clone() {
                             tel.borrow_mut().scale(now, r, "scale_up_start", active + a.pending_up);
                         }
@@ -1084,7 +949,7 @@ impl Fleet {
         if let Some(tel) = self.telemetry.clone() {
             tel.borrow_mut().quarantine(now, r, region);
         }
-        self.push_ev(now + words * sc.repair_us_per_word, Ev::Repair(r, region));
+        self.events.push(now + words * sc.repair_us_per_word, Ev::Repair(r, region));
     }
 
     /// One background scrub window on `r`: decode under the bandwidth
@@ -1180,29 +1045,29 @@ impl Fleet {
         let span = trace.map(|t| t.borrow_mut().begin("fleet.sim", "fleet"));
         let last_arrival = requests.last().map(|r| r.req.arrival_us).unwrap_or(0);
         for fr in requests {
-            self.push_ev(fr.req.arrival_us, Ev::Arrival(Box::new(fr.clone())));
+            self.events.push(fr.req.arrival_us, Ev::Arrival(Box::new(fr.clone())));
         }
         for id in 0..self.replicas.len() {
             for w in self.replicas[id].spec.crashes.windows().to_vec() {
-                self.push_ev(w.down_at_us, Ev::Lifecycle(id, LifecycleEvent::Crash));
+                self.events.push(w.down_at_us, Ev::Lifecycle(id, LifecycleEvent::Crash));
                 if w.up_at_us < u64::MAX {
-                    self.push_ev(w.up_at_us, Ev::Lifecycle(id, LifecycleEvent::Recover));
+                    self.events.push(w.up_at_us, Ev::Lifecycle(id, LifecycleEvent::Recover));
                 }
             }
         }
         if self.cfg.snapshot_every_us > 0 {
-            self.push_ev(self.cfg.snapshot_every_us, Ev::SnapshotTick);
+            self.events.push(self.cfg.snapshot_every_us, Ev::SnapshotTick);
         }
         if let Some(every) = self.adapt.as_ref().map(|a| a.every_us) {
-            self.push_ev(every, Ev::AdaptTick);
+            self.events.push(every, Ev::AdaptTick);
         }
         if let Some(sc) = self.cfg.shield {
             for r in 0..self.replicas.len() {
-                self.push_ev(sc.scrub_every_us, Ev::ScrubTick(r));
+                self.events.push(sc.scrub_every_us, Ev::ScrubTick(r));
             }
         }
 
-        while let Some(Entry { at: now, ev, .. }) = self.heap.pop() {
+        while let Some((now, ev)) = self.events.pop() {
             self.acc.end_us = self.acc.end_us.max(now);
             match ev {
                 Ev::Arrival(freq) => {
@@ -1255,12 +1120,7 @@ impl Fleet {
                             }
                             a.draining[r] = false;
                             a.admin_down[r] = true;
-                            let active = a
-                                .admin_down
-                                .iter()
-                                .zip(&a.draining)
-                                .filter(|(&d, &dr)| !d && !dr)
-                                .count();
+                            let active = a.active();
                             a.events.push(AdaptEvent {
                                 at_us: now,
                                 kind: "scale_down_done",
@@ -1305,19 +1165,7 @@ impl Fleet {
                     }
                 }
                 Ev::Lifecycle(r, LifecycleEvent::Recover) => {
-                    let loaded = self.store.load(r);
-                    let corrupt = matches!(
-                        &loaded,
-                        Err(qt_serve::SnapshotError::Corrupt(_))
-                    );
-                    self.replicas[r].recover(loaded, now);
-                    // recover() swaps in a fresh breaker with an empty
-                    // transition log; restart the telemetry cursor so the
-                    // new log streams from its beginning.
-                    self.breaker_seen[r] = 0;
-                    if let Some(tel) = self.telemetry.clone() {
-                        tel.borrow_mut().recover(now, r, corrupt);
-                    }
+                    let corrupt = self.rejoin(r, now);
                     if let Some(t) = trace {
                         let mut s = t.borrow_mut();
                         s.instant(
@@ -1336,29 +1184,14 @@ impl Fleet {
                 }
                 Ev::Scale(r) => {
                     // Cold start elapsed: the booted replica joins via
-                    // the exact crash-recovery path — newest snapshot
-                    // loaded, breaker forced Open, traffic re-earned
-                    // through half-open probes.
-                    let loaded = self.store.load(r);
-                    let corrupt = matches!(&loaded, Err(qt_serve::SnapshotError::Corrupt(_)));
-                    self.replicas[r].recover(loaded, now);
-                    // Fresh breaker, fresh telemetry cursor (see the
-                    // Lifecycle::Recover arm).
-                    self.breaker_seen[r] = 0;
-                    if let Some(tel) = self.telemetry.clone() {
-                        tel.borrow_mut().recover(now, r, corrupt);
-                    }
+                    // the exact crash-recovery path.
+                    self.rejoin(r, now);
                     let active = self.adapt.as_mut().map(|a| {
                         a.pending_up = a.pending_up.saturating_sub(1);
                         a.booting[r] = false;
                         a.admin_down[r] = false;
                         a.scale_ups += 1;
-                        let active = a
-                            .admin_down
-                            .iter()
-                            .zip(&a.draining)
-                            .filter(|(&d, &dr)| !d && !dr)
-                            .count();
+                        let active = a.active();
                         a.events.push(AdaptEvent {
                             at_us: now,
                             kind: "scale_up_done",
@@ -1377,7 +1210,7 @@ impl Fleet {
                     self.adapt_tick(now);
                     let every = self.adapt.as_ref().map(|a| a.every_us).unwrap_or(0);
                     if every > 0 && now < last_arrival {
-                        self.push_ev(now + every, Ev::AdaptTick);
+                        self.events.push(now + every, Ev::AdaptTick);
                     }
                 }
                 Ev::Repair(r, region) => {
@@ -1390,7 +1223,7 @@ impl Fleet {
                     let more = every > 0 && now < last_arrival;
                     self.scrub_tick(r, now, more);
                     if more {
-                        self.push_ev(now + every, Ev::ScrubTick(r));
+                        self.events.push(now + every, Ev::ScrubTick(r));
                     }
                 }
                 Ev::SnapshotTick => {
@@ -1407,7 +1240,7 @@ impl Fleet {
                     }
                     let next = now + self.cfg.snapshot_every_us;
                     if now < last_arrival {
-                        self.push_ev(next, Ev::SnapshotTick);
+                        self.events.push(next, Ev::SnapshotTick);
                     }
                 }
             }

@@ -36,7 +36,7 @@ impl Default for RetryPolicy {
 
 /// One request's backoff sequence (decorrelated jitter, seeded).
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     policy: RetryPolicy,
     rng: StdRng,
     prev_us: u64,
@@ -46,7 +46,7 @@ impl Backoff {
     /// Sequence for one request; `seed` should be derived from the
     /// request id so replays are exact and requests are decorrelated
     /// from each other.
-    pub fn new(policy: RetryPolicy, seed: u64) -> Self {
+    pub(crate) fn new(policy: RetryPolicy, seed: u64) -> Self {
         Self {
             policy,
             rng: StdRng::seed_from_u64(seed),
@@ -56,7 +56,7 @@ impl Backoff {
 
     /// Draw the next delay: `min(cap, uniform(base, prev·3))`, never
     /// below `base` and never zero.
-    pub fn next_delay_us(&mut self) -> u64 {
+    pub(crate) fn next_delay_us(&mut self) -> u64 {
         let base = self.policy.base_us.max(1);
         let hi = self.prev_us.saturating_mul(3).max(base + 1);
         let d = self.rng.gen_range(base..hi).min(self.policy.cap_us.max(base));

@@ -19,7 +19,8 @@ use qt_robust::cell_seed;
 use qt_trace::{LogHist, TraceHandle};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde_json::{json, Value};
-use std::collections::{BinaryHeap, VecDeque};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Open-loop load: arrivals at a fixed rate for a fixed duration, all
 /// sharing one relative deadline.
@@ -64,7 +65,7 @@ impl LoadSpec {
 }
 
 /// Everything one simulated serving run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Requests offered (arrivals).
     pub offered: u64,
@@ -185,9 +186,47 @@ impl ServeReport {
     }
 }
 
+/// A simulation event kind: its rank fixes the processing order of
+/// events that share a timestamp.
+pub trait Ranked {
+    /// Lower ranks are processed first at equal times.
+    fn rank(&self) -> u8;
+}
+
+/// The discrete-event queue both the serving and the fleet simulation
+/// run on: earliest time first, then lowest [`Ranked::rank`], then
+/// insertion order. The sequence number is assigned on push, so every
+/// key is unique, the order is total, and a run replays exactly.
+#[derive(Debug)]
+pub struct EventQueue<E> {
+    events: BTreeMap<(u64, u8, u64), E>,
+    seq: u64,
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self {
+            events: BTreeMap::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<E: Ranked> EventQueue<E> {
+    /// Schedule `ev` at virtual time `at`.
+    pub fn push(&mut self, at: u64, ev: E) {
+        self.events.insert((at, ev.rank(), self.seq), ev);
+        self.seq += 1;
+    }
+
+    /// Remove and return the next event with its time.
+    pub fn pop(&mut self) -> Option<(u64, E)> {
+        self.events.pop_first().map(|((at, _, _), ev)| (at, ev))
+    }
+}
+
 /// Event kinds, ordered so that at equal timestamps a completion frees
 /// its worker before a simultaneous arrival is routed.
-#[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
     /// Worker `usize` finished its request.
     Done(usize),
@@ -195,37 +234,12 @@ enum Ev {
     Arrival(Box<Request>),
 }
 
-impl Ev {
+impl Ranked for Ev {
     fn rank(&self) -> u8 {
         match self {
             Ev::Done(_) => 0,
             Ev::Arrival(_) => 1,
         }
-    }
-}
-
-/// Heap entry: min-ordered by (time, kind rank, insertion sequence).
-struct Entry {
-    at: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.ev.rank(), self.seq) == (other.at, other.ev.rank(), other.seq)
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.ev.rank(), other.seq).cmp(&(self.at, self.ev.rank(), self.seq))
     }
 }
 
@@ -240,71 +254,29 @@ pub fn run_sim(
     requests: &[Request],
     trace: Option<&TraceHandle>,
 ) -> ServeReport {
-    run_sim_observed(engine, cfg, requests, trace, None)
-}
-
-/// [`run_sim`] with a telemetry plane attached: the identical event
-/// loop and report, plus live time-series, SLO burn-rate evaluation,
-/// request span trees, and a flight recorder (the single engine reports
-/// as replica 0) accumulating in `telemetry`.
-pub fn run_sim_observed(
-    engine: &Engine,
-    cfg: &ServeConfig,
-    requests: &[Request],
-    trace: Option<&TraceHandle>,
-    telemetry: Option<&qt_telemetry::TelemetryHandle>,
-) -> ServeReport {
     let cfg = cfg.clone().normalized();
     // RefCell because one `process` call consults the breaker from two
     // closures (route + record); the sim is single-threaded by design.
-    let breaker = std::cell::RefCell::new(CircuitBreaker::new(cfg.breaker));
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    let mut seq = 0u64;
+    let breaker = RefCell::new(CircuitBreaker::new(cfg.breaker));
+    let mut events = EventQueue::default();
     for r in requests {
-        heap.push(Entry {
-            at: r.arrival_us,
-            seq,
-            ev: Ev::Arrival(Box::new(r.clone())),
-        });
-        seq += 1;
+        events.push(r.arrival_us, Ev::Arrival(Box::new(r.clone())));
     }
 
     let span = trace.map(|t| t.borrow_mut().begin("serve.sim", "serve"));
 
-    let mut idle: std::collections::BTreeSet<usize> = (0..cfg.workers).collect();
+    let mut idle: BTreeSet<usize> = (0..cfg.workers).collect();
     let mut queue: VecDeque<Request> = VecDeque::new();
     let mut report = ServeReport {
         offered: requests.len() as u64,
-        served_primary: 0,
-        served_degraded: 0,
-        shed_queue_full: 0,
-        deadline_miss: 0,
-        flagged_attempts: 0,
-        bits_flipped: 0,
-        breaker_trips: 0,
-        transitions: Vec::new(),
-        latency: LogHist::default(),
-        queue_wait: LogHist::default(),
-        max_queue_depth: 0,
-        end_us: 0,
-        responses: Vec::new(),
+        ..ServeReport::default()
     };
 
-    // Start servicing `req` on worker `w` at time `now`; returns the
-    // completion event.
-    let start = |w: usize,
-                 req: Request,
-                 now: u64,
-                 breaker: &std::cell::RefCell<CircuitBreaker>,
-                 report: &mut ServeReport|
-     -> Entry {
-        let wait = now.saturating_sub(req.arrival_us);
-        report.queue_wait.observe(wait as f32);
-        if let Some(tel) = telemetry {
-            let mut sink = tel.borrow_mut();
-            sink.queue_wait(now, 0, wait);
-            sink.dispatch(now, req.id, 0, "fresh");
-        }
+    // Service `req` from time `now`; returns its completion time.
+    let serve = |req: Request, now: u64, report: &mut ServeReport| -> u64 {
+        report
+            .queue_wait
+            .observe(now.saturating_sub(req.arrival_us) as f32);
         let out = engine.process(
             &req,
             now,
@@ -314,100 +286,30 @@ pub fn run_sim_observed(
         report.flagged_attempts += out.response.flagged as u64;
         report.bits_flipped += out.bits_flipped;
         let finish = out.response.finish_us;
-        if let Some(tel) = telemetry {
-            let resp = &out.response;
-            let mut sink = tel.borrow_mut();
-            sink.attempt(resp.id, 0, now, finish, resp.flagged > 0, true);
-            sink.outcome(
-                finish,
-                resp.id,
-                Some(0),
-                resp.outcome.name(),
-                resp.outcome.is_served(),
-                resp.outcome == OutcomeKind::ShedQueueFull,
-                resp.latency_us,
-            );
-        }
         record_response(report, out.response);
-        Entry {
-            at: finish,
-            seq: 0, // patched by caller
-            ev: Ev::Done(w),
-        }
+        finish
     };
 
-    // Breaker transitions are streamed to the sink as they happen (so
-    // breaker-open flight dumps freeze the ring at trip time), tracked
-    // by a cursor into the breaker's transition log.
-    let mut breaker_seen = 0usize;
-    let drain_breaker =
-        |breaker: &std::cell::RefCell<CircuitBreaker>, seen: &mut usize| {
-            let Some(tel) = telemetry else { return };
-            let b = breaker.borrow();
-            let transitions = b.transitions();
-            let mut sink = tel.borrow_mut();
-            for tr in &transitions[*seen..] {
-                sink.breaker(
-                    tr.at_us,
-                    0,
-                    tr.from.name(),
-                    tr.to.name(),
-                    tr.to.code() as f64,
-                    tr.unhealthy_rate,
-                );
-            }
-            *seen = transitions.len();
-        };
-
-    while let Some(Entry { at: now, ev, .. }) = heap.pop() {
-        report.end_us = report.end_us.max(now);
+    while let Some((now, ev)) = events.pop() {
         match ev {
             Ev::Arrival(req) => {
-                if let Some(tel) = telemetry {
-                    tel.borrow_mut().arrival(now, req.id);
-                }
-                if let Some(&w) = idle.iter().next() {
-                    idle.remove(&w);
-                    let mut done = start(w, *req, now, &breaker, &mut report);
-                    done.seq = seq;
-                    seq += 1;
-                    heap.push(done);
-                    drain_breaker(&breaker, &mut breaker_seen);
+                if let Some(w) = idle.pop_first() {
+                    events.push(serve(*req, now, &mut report), Ev::Done(w));
                 } else if queue.len() < cfg.queue_cap {
                     queue.push_back(*req);
                     report.max_queue_depth = report.max_queue_depth.max(queue.len() as u64);
-                    if let Some(tel) = telemetry {
-                        tel.borrow_mut().queue_depth(now, 0, queue.len());
-                    }
                 } else {
-                    if let Some(tel) = telemetry {
-                        tel.borrow_mut().outcome(
-                            now,
-                            req.id,
-                            None,
-                            OutcomeKind::ShedQueueFull.name(),
-                            false,
-                            true,
-                            0,
-                        );
-                    }
                     record_response(&mut report, Response::shed(&req));
                 }
             }
-            Ev::Done(w) => {
-                if let Some(req) = queue.pop_front() {
-                    let mut done = start(w, req, now, &breaker, &mut report);
-                    done.seq = seq;
-                    seq += 1;
-                    heap.push(done);
-                    drain_breaker(&breaker, &mut breaker_seen);
-                } else {
+            Ev::Done(w) => match queue.pop_front() {
+                Some(req) => events.push(serve(req, now, &mut report), Ev::Done(w)),
+                None => {
                     idle.insert(w);
                 }
-            }
+            },
         }
     }
-    drain_breaker(&breaker, &mut breaker_seen);
 
     let breaker = breaker.into_inner();
     report.breaker_trips = breaker.trips();
@@ -501,6 +403,22 @@ mod tests {
     }
 
     #[test]
+    fn event_queue_orders_by_time_then_rank_then_push_order() {
+        struct E(u8, &'static str);
+        impl Ranked for E {
+            fn rank(&self) -> u8 {
+                self.0
+            }
+        }
+        let mut q = EventQueue::default();
+        for (at, rank, name) in [(5, 1, "a"), (5, 0, "b"), (3, 1, "c"), (5, 1, "d"), (5, 0, "e")] {
+            q.push(at, E(rank, name));
+        }
+        let order: Vec<(u64, &str)> = std::iter::from_fn(|| q.pop().map(|(at, e)| (at, e.1))).collect();
+        assert_eq!(order, [(3, "c"), (5, "b"), (5, "e"), (5, "a"), (5, "d")]);
+    }
+
+    #[test]
     fn light_load_serves_everything_primary() {
         let cfg = ServeConfig::default();
         let eng = engine(&cfg);
@@ -541,56 +459,6 @@ mod tests {
             report.offered,
             "every request has exactly one response"
         );
-    }
-
-    #[test]
-    fn observed_sim_matches_report_and_reconciles() {
-        use qt_telemetry::{Scope, TelemetryConfig, TelemetrySink};
-        let cfg = ServeConfig {
-            workers: 1,
-            queue_cap: 2,
-            ..ServeConfig::default()
-        };
-        let eng = engine(&cfg);
-        let spec = LoadSpec {
-            rps: 4.0 * 1e6 / eng.full_pass_us() as f64,
-            duration_us: 40 * eng.full_pass_us(),
-            deadline_us: 2 * eng.full_pass_us(),
-            seq: 8,
-            seed: 2,
-        };
-        let reqs = spec.requests(eng.model().cfg.vocab);
-        let baseline = run_sim(&eng, &cfg, &reqs, None);
-        let tel = TelemetrySink::handle(TelemetryConfig::default(), 1);
-        let observed = run_sim_observed(&eng, &cfg, &reqs, None, Some(&tel));
-        assert_eq!(baseline, observed, "observation must not perturb the sim");
-
-        let sink = tel.borrow();
-        let arrivals = sink
-            .series_get(Scope::Fleet, "arrivals")
-            .map(|s| s.counter_total())
-            .unwrap_or(0);
-        assert_eq!(arrivals, observed.offered);
-        let responses = sink
-            .series_get(Scope::Fleet, "responses")
-            .map(|s| s.counter_total())
-            .unwrap_or(0);
-        assert_eq!(responses, observed.offered, "every request got an outcome");
-        let served = sink
-            .series_get(Scope::Fleet, "served")
-            .map(|s| s.counter_total())
-            .unwrap_or(0);
-        assert_eq!(served, observed.served_primary + observed.served_degraded);
-        let shed = sink
-            .series_get(Scope::Fleet, "shed")
-            .map(|s| s.counter_total())
-            .unwrap_or(0);
-        assert_eq!(shed, observed.shed_queue_full);
-        // Every traced request closed with a complete span tree.
-        assert_eq!(sink.book().len(), observed.offered as usize);
-        for (_, t) in sink.book().iter() {
-            assert!(t.is_complete(), "incomplete trace: {t:?}");
-        }
     }
 
     #[test]
