@@ -528,6 +528,12 @@ fn main() {
             shield: None,
         };
         let snap_dir = opts.out_dir.join(format!("fleet_snaps_{}", policy.name()));
+        // Start from an empty store: a replica that boots or recovers must
+        // not resume from snapshots a previous run left in a reused --out.
+        if let Err(e) = std::fs::remove_dir_all(&snap_dir) {
+            let gone = e.kind() == std::io::ErrorKind::NotFound;
+            assert!(gone, "clear {}: {e}", snap_dir.display());
+        }
         let popts = opts.scoped(policy.name());
         let trace = popts.open_trace(&format!("fleet_bench_{}", policy.name()));
         let tel_cfg = qt_telemetry::TelemetryConfig {

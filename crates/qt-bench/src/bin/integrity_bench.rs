@@ -301,6 +301,12 @@ fn main() {
             (0..n).map(|_| Box::new(NoFaults) as _).collect()
         };
         let snap_dir = opts.out_dir.join(format!("integrity_snaps_{name}"));
+        // Start from an empty store: a replica that boots or recovers must
+        // not resume from snapshots a previous run left in a reused --out.
+        if let Err(e) = std::fs::remove_dir_all(&snap_dir) {
+            let gone = e.kind() == std::io::ErrorKind::NotFound;
+            assert!(gone, "clear {}: {e}", snap_dir.display());
+        }
         let lopts = opts.scoped(name);
         let trace = lopts.open_trace(&format!("integrity_bench_{name}"));
         let tel = qt_telemetry::TelemetrySink::handle(

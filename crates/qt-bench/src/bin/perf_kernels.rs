@@ -1,6 +1,8 @@
 //! Kernel micro-benchmarks: the blocked GEMM swept over **backend ×
-//! pool-size**, the code-domain GEMM paths, LUT quantization per format,
-//! and a full traced forward pass.
+//! pool-size** in two domains — `f32` ([`Tensor::matmul`], the path every
+//! model GEMM takes) and `code` (`qt_quant::matmul_codes` over a weight
+//! decoded once from 8-bit codes) — LUT quantization per format, and a
+//! full traced forward pass.
 //!
 //! Besides timing, every sweep point is checked bitwise against the
 //! scalar serial result — the determinism contract spans thread counts
@@ -22,10 +24,7 @@
 use qt_accel::{Accelerator, SystolicSim};
 use qt_bench::{datapath_for, pretrain_lm, Opts};
 use qt_datagen::LmTask;
-use qt_quant::{
-    matmul_codes, matmul_product_lut, ElemFormat, FakeQuant, PackedCodesB, PackedQuantB,
-    ProductLut, QuantScheme,
-};
+use qt_quant::{matmul_codes, ElemFormat, FakeQuant, PackedQuantB, QuantScheme};
 use qt_tensor::kernels::{with_backend, GemmBackend, ALL_BACKENDS};
 use qt_tensor::Tensor;
 use qt_train::evaluate_lm_perplexity;
@@ -190,8 +189,7 @@ fn main() {
         }));
 
         // Code domain: weight stored as codes, decoded once into packed
-        // panels *outside* the timed loop (the steady-state serving shape
-        // — the pack is cached per site in QuantCtx).
+        // panels *outside* the timed loop, so only the multiply is timed.
         let aq = fq.quantize(&a);
         let wq = fq.quantize_to_codes(&b).expect("P8E1 is not Fp32");
         let pack = PackedQuantB::pack(&wq);
@@ -208,38 +206,6 @@ fn main() {
             "shape": json!([*m as u64, *k as u64, *n as u64]),
             "domain": "code",
             "backend": backs,
-        }));
-
-        // Product-LUT domain: both operands as 8-bit codes, products read
-        // from the 2^16-entry table (no float multiply at all). The table
-        // walk is scalar, so this row sweeps pool sizes only.
-        let acodes = fq.quantize_to_codes(&a).expect("P8E1 is not Fp32");
-        let cpack = PackedCodesB::pack(&wq);
-        let lut = ProductLut::new(ElemFormat::P8E1, ElemFormat::P8E1).expect("8-bit");
-        let lut_ref = qt_par::serial(|| matmul_product_lut(&acodes, &cpack, &lut));
-        assert_eq!(
-            lut_ref.data(),
-            code_ref.data(),
-            "product-LUT GEMM {name} diverged from the code-domain result"
-        );
-        let mut lut_ms = BTreeMap::new();
-        for t in SWEEP {
-            let (out, best) = qt_par::with_threads(t, || {
-                time_ms(iters, || matmul_product_lut(&acodes, &cpack, &lut))
-            });
-            assert_eq!(
-                out.data(),
-                lut_ref.data(),
-                "product-LUT GEMM {name} not bitwise-deterministic at {t} threads"
-            );
-            lut_ms.insert(t, best);
-        }
-        eprintln!("[perf_kernels] gemm {name} [{m}x{k}x{n}] lut: {lut_ms:?}");
-        gemm_rows.push(json!({
-            "model": name.clone(),
-            "shape": json!([*m as u64, *k as u64, *n as u64]),
-            "domain": "lut",
-            "ms": ms_map(&lut_ms),
         }));
     }
 
@@ -260,23 +226,15 @@ fn main() {
         let mut best_path = String::from("scalar/f32");
         for r in &rows {
             let domain = r["domain"].as_str().unwrap();
-            if let Some(back) = r.get("backend").and_then(|b| b.as_object()) {
-                for bname in back.keys() {
-                    if domain == "f32" && bname == "scalar" {
-                        continue;
-                    }
-                    if let Some(ms) = t1_ms(r, bname) {
-                        if ms < best_ms {
-                            best_ms = ms;
-                            best_path = format!("{bname}/{domain}");
-                        }
-                    }
+            for bname in r["backend"].as_object().expect("backend matrix").keys() {
+                if domain == "f32" && bname == "scalar" {
+                    continue;
                 }
-            } else if let Some(ms) = r.get("ms").and_then(|m| m.get("t1")).and_then(|v| v.as_f64())
-            {
-                if ms < best_ms {
-                    best_ms = ms;
-                    best_path = format!("lut/{domain}");
+                if let Some(ms) = t1_ms(r, bname) {
+                    if ms < best_ms {
+                        best_ms = ms;
+                        best_path = format!("{bname}/{domain}");
+                    }
                 }
             }
         }

@@ -34,9 +34,7 @@ mod scheme;
 pub use format::ElemFormat;
 pub use fusion::{FusionLevel, OpClass, OpSet};
 pub use guard::{HealthWindow, NonFinitePolicy, QuantError, TensorHealth};
-pub use qgemm::{
-    matmul_codes, matmul_product_lut, PackedCodesB, PackedQuantB, ProductLut, QuantizedTensor,
-};
+pub use qgemm::{matmul_codes, PackedQuantB, QuantizedTensor};
 pub use qt_posit::UnderflowPolicy;
 pub use quantizer::FakeQuant;
 pub use scaling::{AmaxTracker, ScalingMode};

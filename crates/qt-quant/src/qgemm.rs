@@ -2,39 +2,35 @@
 //!
 //! The paper's datapath keeps every operand as 8-bit codes with shared
 //! scales; the f32 tensors this repo carries are only a simulation
-//! vehicle. This module closes the gap for the GEMM hot path:
+//! vehicle, and the model's own GEMMs run as [`Tensor::matmul`] on
+//! operands already cut to the 8-bit grid. This module is the storage
+//! view of the same multiply:
 //!
 //! - [`QuantizedTensor`] holds a tensor as its stored bit codes
 //!   ([`ElemFormat::encode_code`] words — what accelerator SRAM holds);
 //! - [`PackedQuantB`] decodes a weight matrix **once** per pack, via a
 //!   `2^bits` direct-index decode table, straight into the blocked
 //!   `KC × NR` panel layout of [`qt_tensor::gemm::PackedB`] — no full
-//!   f32 weight materialization per call, and the pack is reusable
-//!   across forwards (the per-site weight-pack cache in qt-transformer);
+//!   f32 weight materialization;
 //! - [`matmul_codes`] drives the shared SIMD-dispatched blocked GEMM
-//!   over a pre-packed weight;
-//! - [`ProductLut`] + [`matmul_product_lut`] go further for pairs of
-//!   ≤ 8-bit formats (posit8, E4M3, …): a `2^16`-entry table of all
-//!   `decode(a) · decode(b)` products lets the inner loop accumulate
-//!   `i8 × i8 → f32` products by table lookup, with no decode at all.
+//!   over a pre-packed weight. `perf_kernels` times it as the `code`
+//!   domain.
 //!
 //! # Bitwise-identity contract
 //!
-//! Both paths produce outputs **bit-identical** to dequantizing and
-//! calling [`Tensor::matmul`] (asserted by tests, not assumed):
+//! [`matmul_codes`] produces outputs **bit-identical** to dequantizing
+//! and calling [`Tensor::matmul`] (asserted by tests, not assumed):
 //!
 //! - decode ∘ encode is the identity on every value a [`FakeQuant`]
 //!   emits, except that a `-0.0` grid value may decode as `+0.0` — and
 //!   zeros are skip-gated identically on both sides, so no output bit
 //!   can differ;
-//! - each [`ProductLut`] entry is the *single* IEEE rounding of
-//!   `decode(a) · decode(b)`, exactly the `mul` the f32 kernel performs;
 //! - tiling, accumulation order (`k` ascending per element), and the
 //!   row-finite-gated zero skip are shared with the f32 engine.
 
 use crate::format::ElemFormat;
 use crate::quantizer::FakeQuant;
-use qt_tensor::gemm::{self, PackedB, KC, MC, NR};
+use qt_tensor::gemm::{self, PackedB};
 use qt_tensor::Tensor;
 
 /// A tensor stored as quantization codes: the format, the shape, and one
@@ -83,14 +79,6 @@ impl QuantizedTensor {
         &self.codes
     }
 
-    /// Mutable view of the stored code words — the surface fault
-    /// injectors and integrity shields (qt-shield) operate on. Code
-    /// values past the format's bit width have no decode meaning;
-    /// writers are expected to stay within [`ElemFormat::bits`].
-    pub fn codes_mut(&mut self) -> &mut [u16] {
-        &mut self.codes
-    }
-
     /// Decode back to the f32 values the datapath computes with.
     pub fn dequantize(&self) -> Tensor {
         let lut = DecodeLut::new(self.format);
@@ -101,7 +89,7 @@ impl QuantizedTensor {
 
 /// Direct-index decode table: `table[code]` = the f32 the code decodes
 /// to. `2^bits` entries (≤ 256 KiB even for the 16-bit formats), built
-/// once per pack / LUT construction.
+/// once per pack.
 struct DecodeLut {
     table: Vec<f32>,
     mask: u16,
@@ -155,12 +143,9 @@ impl FakeQuant {
 
 /// A 2-D weight matrix decoded once from codes into the blocked panel
 /// layout the SIMD microkernels consume. Build it once per weight
-/// version; every forward then multiplies without touching the codes or
+/// version; every multiply then runs without touching the codes or
 /// materializing an f32 weight tensor.
-pub struct PackedQuantB {
-    format: ElemFormat,
-    pack: PackedB,
-}
+pub struct PackedQuantB(PackedB);
 
 impl PackedQuantB {
     /// Decode-and-pack a `[k, n]` quantized matrix.
@@ -173,40 +158,21 @@ impl PackedQuantB {
         let (k, n) = (w.shape()[0], w.shape()[1]);
         let lut = DecodeLut::new(w.format());
         let codes = w.codes();
-        let pack = PackedB::pack_with(k, n, |kk, row| {
+        Self(PackedB::pack_with(k, n, |kk, row| {
             for (slot, &c) in row.iter_mut().zip(&codes[kk * n..(kk + 1) * n]) {
                 *slot = lut.get(c);
             }
-        });
-        Self {
-            format: w.format(),
-            pack,
-        }
-    }
-
-    /// The code format this pack was decoded from.
-    pub fn format(&self) -> ElemFormat {
-        self.format
+        }))
     }
 
     /// Contraction depth (`k`).
     pub fn k(&self) -> usize {
-        self.pack.k()
+        self.0.k()
     }
 
     /// Output width (`n`).
     pub fn n(&self) -> usize {
-        self.pack.n()
-    }
-
-    /// Resident bytes (pack-cache accounting).
-    pub fn bytes(&self) -> usize {
-        self.pack.bytes()
-    }
-
-    /// The underlying f32 panel pack.
-    pub fn pack_ref(&self) -> &PackedB {
-        &self.pack
+        self.0.n()
     }
 }
 
@@ -241,218 +207,13 @@ pub fn matmul_codes(x: &Tensor, w: &PackedQuantB) -> Tensor {
     if rows == 0 || n == 0 || k == 0 {
         return out;
     }
-    gemm::gemm_prepacked(x.data(), rows, k, n, w.pack_ref(), out.data_mut());
-    out
-}
-
-/// All `decode(a) · decode(b)` products of two ≤ 8-bit formats, each a
-/// single IEEE f32 rounding: 2^16 entries, 256 KiB. Indexed
-/// `(a_code << 8) | b_code`.
-pub struct ProductLut {
-    a_format: ElemFormat,
-    b_format: ElemFormat,
-    table: Vec<f32>,
-    /// `a_zero[code]`: the code decodes to ±0.0 (skip-gate, matching the
-    /// f32 kernels' `av == 0.0` test).
-    a_zero: Vec<bool>,
-}
-
-impl ProductLut {
-    /// Build the product table. `None` unless both formats store in at
-    /// most 8 bits (posit8 variants, E4M3, E5M2 — the paper's edge
-    /// formats; 9- and 16-bit formats would need a 2^18+ table and use
-    /// the panel-decode path instead).
-    pub fn new(a_format: ElemFormat, b_format: ElemFormat) -> Option<Self> {
-        if a_format.bits() > 8 || b_format.bits() > 8 {
-            return None;
-        }
-        let da = DecodeLut::new(a_format);
-        let db = DecodeLut::new(b_format);
-        let mut table = vec![0.0f32; 1 << 16];
-        for ac in 0..256u16 {
-            let av = da.get(ac);
-            for bc in 0..256u16 {
-                // One rounding: identical bits to the kernel's `av * bv`.
-                table[((ac as usize) << 8) | bc as usize] = av * db.get(bc);
-            }
-        }
-        let a_zero: Vec<bool> = (0..256u16).map(|c| da.get(c) == 0.0).collect();
-        Some(Self {
-            a_format,
-            b_format,
-            table,
-            a_zero,
-        })
-    }
-
-    /// LHS format.
-    pub fn a_format(&self) -> ElemFormat {
-        self.a_format
-    }
-
-    /// RHS format.
-    pub fn b_format(&self) -> ElemFormat {
-        self.b_format
-    }
-
-    /// The product `decode(a) · decode(b)`.
-    #[inline]
-    pub fn product(&self, a: u16, b: u16) -> f32 {
-        self.table[(((a & 0xFF) as usize) << 8) | (b & 0xFF) as usize]
-    }
-}
-
-/// A `[k, n]` weight held as *codes* in the blocked tile layout (same
-/// `tile_offsets` geometry as [`PackedB`]) for the product-LUT path,
-/// plus the row-finite flags that gate the zero skip.
-pub struct PackedCodesB {
-    format: ElemFormat,
-    codes: Vec<u16>,
-    tile_off: Vec<usize>,
-    row_finite: Vec<bool>,
-    njb: usize,
-    k: usize,
-    n: usize,
-}
-
-impl PackedCodesB {
-    /// Tile a 2-D quantized matrix's codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not 2-D.
-    pub fn pack(w: &QuantizedTensor) -> Self {
-        assert_eq!(w.shape().len(), 2, "weight pack needs a 2-D matrix");
-        let (k, n) = (w.shape()[0], w.shape()[1]);
-        let lut = DecodeLut::new(w.format());
-        let src = w.codes();
-        let (tile_off, njb) = gemm::tile_offsets(k, n);
-        let mut codes = vec![0u16; k * n];
-        let mut row_finite = vec![false; k];
-        for kk in 0..k {
-            let row = &src[kk * n..(kk + 1) * n];
-            row_finite[kk] = row.iter().all(|&c| lut.get(c).is_finite());
-            let panel = kk / KC;
-            let kloc = kk - panel * KC;
-            for (jb, j0) in (0..n).step_by(NR).enumerate() {
-                let nr = NR.min(n - j0);
-                let dst = tile_off[panel * njb + jb] + kloc * nr;
-                codes[dst..dst + nr].copy_from_slice(&row[j0..j0 + nr]);
-            }
-        }
-        Self {
-            format: w.format(),
-            codes,
-            tile_off,
-            row_finite,
-            njb,
-            k,
-            n,
-        }
-    }
-
-    /// The code format.
-    pub fn format(&self) -> ElemFormat {
-        self.format
-    }
-
-    /// Contraction depth (`k`).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Output width (`n`).
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn tile(&self, panel: usize, jb: usize, kc: usize, nr: usize) -> &[u16] {
-        let off = self.tile_off[panel * self.njb + jb];
-        &self.codes[off..off + kc * nr]
-    }
-}
-
-/// Multiply quantized activations (`[..., m, k]` codes) by a code-tiled
-/// weight (`[k, n]`), accumulating `decode(a) · decode(b)` products
-/// fetched from the 2^16 [`ProductLut`] — the inner loop never decodes
-/// an operand. Leading axes flatten into rows as in [`matmul_codes`].
-///
-/// Bitwise-identical to `a.dequantize().matmul(&w.dequantize())`
-/// (shared tiling, ascending-`k` accumulation, and the same
-/// finite-gated zero skip; each table entry is the same single-rounded
-/// product the f32 kernel computes).
-///
-/// # Panics
-///
-/// Panics if shapes or formats disagree with the LUT.
-pub fn matmul_product_lut(a: &QuantizedTensor, w: &PackedCodesB, lut: &ProductLut) -> Tensor {
-    assert!(a.shape().len() >= 2, "product-LUT lhs must be at least 2-D");
-    assert_eq!(a.format(), lut.a_format(), "LHS format != LUT a-format");
-    assert_eq!(w.format(), lut.b_format(), "RHS format != LUT b-format");
-    let nd = a.shape().len();
-    let k = a.shape()[nd - 1];
-    assert_eq!(
-        k,
-        w.k(),
-        "product-LUT contraction mismatch: {:?} x [{}, {}]",
-        a.shape(),
-        w.k(),
-        w.n()
-    );
-    let n = w.n();
-    let rows: usize = a.shape()[..nd - 1].iter().product();
-    let mut out_shape = a.shape()[..nd - 1].to_vec();
-    out_shape.push(n);
-    let mut out = Tensor::zeros(&out_shape);
-    if rows == 0 || n == 0 || k == 0 {
-        return out;
-    }
-    let acodes = a.codes();
-    let row_blocks = rows.div_ceil(MC);
-    let part_lens: Vec<usize> = (0..row_blocks)
-        .map(|rb| MC.min(rows - rb * MC) * n)
-        .collect();
-    gemm::run_parts(out.data_mut(), &part_lens, rows * k * n, |rb, opart| {
-        let i0 = rb * MC;
-        let nrows = MC.min(rows - i0);
-        for (panel, k0) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - k0);
-            for (jb, j0) in (0..n).step_by(NR).enumerate() {
-                let nr = NR.min(n - j0);
-                let tile = w.tile(panel, jb, kc, nr);
-                let finite = &w.row_finite[k0..k0 + kc];
-                for r in 0..nrows {
-                    let arow = &acodes[(i0 + r) * k + k0..(i0 + r) * k + k0 + kc];
-                    let orow = &mut opart[r * n + j0..r * n + j0 + nr];
-                    for (kk, &ac) in arow.iter().enumerate() {
-                        if lut.a_zero[(ac & 0xFF) as usize] && finite[kk] {
-                            continue;
-                        }
-                        let base = ((ac & 0xFF) as usize) << 8;
-                        let brow = &tile[kk * nr..(kk + 1) * nr];
-                        for (ov, &bc) in orow.iter_mut().zip(brow) {
-                            *ov += lut.table[base | (bc & 0xFF) as usize];
-                        }
-                    }
-                }
-            }
-        }
-    });
+    gemm::gemm_prepacked(x.data(), rows, k, n, &w.0, out.data_mut());
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const FORMATS_8BIT: [ElemFormat; 5] = [
-        ElemFormat::P8E0,
-        ElemFormat::P8E1,
-        ElemFormat::P8E2,
-        ElemFormat::E4M3,
-        ElemFormat::E5M2,
-    ];
 
     fn messy_tensor(shape: &[usize], salt: usize) -> Tensor {
         let count: usize = shape.iter().product();
@@ -507,27 +268,5 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits(), "{fmt}");
             }
         }
-    }
-
-    #[test]
-    fn product_lut_matches_dequantized_matmul() {
-        for fmt in FORMATS_8BIT {
-            let fq = FakeQuant::new(fmt);
-            let a = fq.quantize_to_codes(&messy_tensor(&[3, 40], 3)).unwrap();
-            let w = fq.quantize_to_codes(&messy_tensor(&[40, 9], 4)).unwrap();
-            let lut = ProductLut::new(fmt, fmt).unwrap();
-            let packed = PackedCodesB::pack(&w);
-            let got = matmul_product_lut(&a, &packed, &lut);
-            let want = a.dequantize().matmul(&w.dequantize());
-            for (g, v) in got.data().iter().zip(want.data()) {
-                assert_eq!(g.to_bits(), v.to_bits(), "{fmt}");
-            }
-        }
-    }
-
-    #[test]
-    fn product_lut_rejects_wide_formats() {
-        assert!(ProductLut::new(ElemFormat::P16E1, ElemFormat::P8E1).is_none());
-        assert!(ProductLut::new(ElemFormat::E4M3, ElemFormat::E5M3).is_none());
     }
 }

@@ -34,9 +34,8 @@ pub const PAR_MIN_MACS: usize = 64 * 1024;
 /// Start offsets of the packed `(panel, jb)` tiles for a `k × n` matrix
 /// in the standard layout (per KC-panel, per NR-column tile, a contiguous
 /// `[kc][nr]` block), plus the tile count per panel (`njb`). Index the
-/// result as `offsets[panel * njb + jb]`. Shared by [`PackedB`] and the
-/// code-tile pack in `qt-quant` so both sides tile identically.
-pub fn tile_offsets(k: usize, n: usize) -> (Vec<usize>, usize) {
+/// result as `offsets[panel * njb + jb]`.
+fn tile_offsets(k: usize, n: usize) -> (Vec<usize>, usize) {
     let npanels = k.div_ceil(KC);
     let njb = n.div_ceil(NR);
     let mut tile_off = Vec::with_capacity(npanels * njb);
@@ -115,13 +114,6 @@ impl PackedB {
     /// Output width this pack was built for.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Packed bytes held (pack-cache accounting).
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-            + self.tile_off.len() * std::mem::size_of::<usize>()
-            + self.row_finite.len()
     }
 
     #[inline]

@@ -534,26 +534,26 @@ impl<'a> Builder<'a> {
     fn weight(&mut self, name: &str) -> Var {
         let w0 = self.p(name);
         let Some(lora) = self.model.lora else {
-            return self.qctx.cut_weight(self.tape, w0, name);
+            return self.qctx.cut(self.tape, w0, OpClass::Gemm, name);
         };
         if !lora.applies_to(name) || !self.model.params.contains(&format!("{name}.lora_a")) {
-            return self.qctx.cut_weight(self.tape, w0, name);
+            return self.qctx.cut(self.tape, w0, OpClass::Gemm, name);
         }
         // quant(W0^8 + (α/r)·quant(A)·quant(B))
         let a = self.p(&format!("{name}.lora_a"));
         let bb = self.p(&format!("{name}.lora_b"));
-        let w0q = self.qctx.cut_weight(self.tape, w0, name);
+        let w0q = self.qctx.cut(self.tape, w0, OpClass::Gemm, name);
         let aq = self
             .qctx
-            .cut_weight(self.tape, a, &format!("{name}.lora_a"));
+            .cut(self.tape, a, OpClass::Gemm, &format!("{name}.lora_a"));
         let bq = self
             .qctx
-            .cut_weight(self.tape, bb, &format!("{name}.lora_b"));
+            .cut(self.tape, bb, OpClass::Gemm, &format!("{name}.lora_b"));
         let ab = self.tape.matmul(aq, bq);
         let delta = self.tape.mul_scalar(ab, lora.scale());
         let merged = self.tape.add(w0q, delta);
         self.qctx
-            .cut_weight(self.tape, merged, &format!("{name}.merged"))
+            .cut(self.tape, merged, OpClass::Gemm, &format!("{name}.merged"))
     }
 
     /// `x @ W + b` with GEMM-site quantization of both operands.
@@ -562,13 +562,6 @@ impl<'a> Builder<'a> {
             .qctx
             .cut(self.tape, x, OpClass::Gemm, &format!("{site}.in"));
         let w = self.weight(w_name);
-        if self.qctx.traced() {
-            let xs = self.tape.value(xq).shape().to_vec();
-            let n = *self.tape.value(w).shape().last().unwrap_or(&1);
-            if let Some((&k, lead)) = xs.split_last() {
-                self.qctx.gemm_span(site, lead.iter().product(), k, n);
-            }
-        }
         let y = self.qctx.matmul_q(self.tape, xq, w, site);
         let b = self.p(b_name);
         self.tape.add(y, b)
@@ -650,12 +643,6 @@ impl<'a> Builder<'a> {
                 .cut(self.tape, kt, OpClass::Gemm, &format!("{prefix}.scores.k"))
         });
         let kq = self.through_cache(kq, cache.as_deref_mut().map(|c| &mut c.k), 3);
-        let kv_seq = self.tape.value(kq).shape()[3];
-        if self.qctx.traced() {
-            // QKᵀ as the accelerator sees it: one [B·nh·Sq, dh] × [dh, Skv]
-            self.qctx
-                .gemm_span(&format!("{prefix}.scores"), batch * nh * q_seq, dh, kv_seq);
-        }
         let raw = self
             .qctx
             .matmul_q(self.tape, qq, kq, &format!("{prefix}.scores"));
@@ -678,12 +665,9 @@ impl<'a> Builder<'a> {
             OpClass::Activation,
             &format!("{prefix}.softmax.in"),
         );
-        let probs = if self.qctx.traced() {
-            self.qctx
-                .softmax_named(self.tape, sm_in, &format!("{prefix}.softmax"))
-        } else {
-            self.qctx.softmax(self.tape, sm_in)
-        };
+        let probs = self
+            .qctx
+            .softmax(self.tape, sm_in, &format!("{prefix}.softmax"));
 
         // context: probs @ V
         let pq = self
@@ -694,10 +678,6 @@ impl<'a> Builder<'a> {
                 .cut(self.tape, vh, OpClass::Gemm, &format!("{prefix}.ctx.v"))
         });
         let vq = self.through_cache(vq, cache.map(|c| &mut c.v), 2);
-        if self.qctx.traced() {
-            self.qctx
-                .gemm_span(&format!("{prefix}.ctx"), batch * nh * q_seq, kv_seq, dh);
-        }
         let ctx = self
             .qctx
             .matmul_q(self.tape, pq, vq, &format!("{prefix}.ctx"));
@@ -872,18 +852,13 @@ impl<'a> Builder<'a> {
             }
             TaskHead::LmTied => {
                 let table = self.p("embed.tok");
-                let tq = self.qctx.cut_weight(self.tape, table, "embed.tok.lm");
+                let tq = self
+                    .qctx
+                    .cut(self.tape, table, OpClass::Gemm, "embed.tok.lm");
                 let wt = self.tape.transpose_last2(tq);
                 let hq = self
                     .qctx
                     .cut(self.tape, hidden, OpClass::Gemm, "head.lm.in");
-                if self.qctx.traced() {
-                    let hs = self.tape.value(hq).shape().to_vec();
-                    if let Some((&k, lead)) = hs.split_last() {
-                        self.qctx
-                            .gemm_span("head.lm", lead.iter().product(), k, self.model.cfg.vocab);
-                    }
-                }
                 self.qctx.matmul_q(self.tape, hq, wt, "head.lm")
             }
         }
@@ -1071,6 +1046,62 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(r.kind, RecordKind::Instant) && r.cat == "quant"));
+        drop(sess);
+
+        // The recorded (m, k, n) of each GEMM kind, for a full enc-dec
+        // forward and for cached decode steps: `m` folds every leading axis
+        // of the left operand, `k` is its last axis, `n` the right
+        // operand's last.
+        let cfg = TransformerConfig::whisper_tiny_sim();
+        let model = Model::new(cfg.clone(), TaskHead::LmTied, &mut rng);
+        let (h, nh, dh, v) = (cfg.hidden, cfg.heads, cfg.head_dim(), cfg.vocab);
+        let (b, se, sd) = (2usize, 5usize, 3usize);
+        let enc = tiny_batch(&cfg, b, se, &mut rng);
+        let dec = tiny_batch(&cfg, b, sd, &mut rng);
+        let traced = || {
+            let session = TraceSession::new("dims").handle();
+            let qctx = QuantCtx::inference(QuantScheme::posit8())
+                .with_trace(Rc::clone(&session))
+                .with_cycle_model(Rc::new(FlatCost));
+            (session, qctx)
+        };
+        // (m, k, n) of the last GEMM span recorded at `site`.
+        let dims = |session: &qt_trace::TraceHandle, site: &str| {
+            let sess = session.borrow();
+            let r = sess
+                .records()
+                .iter()
+                .rev()
+                .find(|r| r.cat == "gemm" && r.name == site)
+                .unwrap_or_else(|| panic!("no GEMM span at {site}"));
+            let arg = |a: &str| r.args.iter().find(|(k, _)| k == a).unwrap().1 as usize;
+            (arg("m"), arg("k"), arg("n"))
+        };
+
+        let (session, qctx) = traced();
+        let mut tape = Tape::new();
+        let _ = model.forward(&mut tape, &qctx, &enc, Some(&dec), TrainMode::Frozen);
+        assert_eq!(dims(&session, "dec.0.attn.q"), (b * sd, h, h));
+        assert_eq!(dims(&session, "dec.0.attn.scores"), (b * nh * sd, dh, sd));
+        assert_eq!(dims(&session, "dec.0.xattn.scores"), (b * nh * sd, dh, se));
+        assert_eq!(dims(&session, "dec.0.attn.ctx"), (b * nh * sd, sd, dh));
+        assert_eq!(dims(&session, "dec.0.xattn.ctx"), (b * nh * sd, se, dh));
+        assert_eq!(dims(&session, "head.lm"), (b * sd, h, v));
+
+        let mut state = model
+            .try_encode(&QuantCtx::inference(QuantScheme::posit8()), &enc)
+            .unwrap();
+        let ids = vec![1; b];
+        for step in 0..2 {
+            let (session, qctx) = traced();
+            model.try_decode_step(&qctx, &mut state, &ids).unwrap();
+            let kv = step + 1;
+            assert_eq!(dims(&session, "dec.0.attn.q"), (b, h, h));
+            assert_eq!(dims(&session, "dec.0.attn.scores"), (b * nh, dh, kv));
+            assert_eq!(dims(&session, "dec.0.xattn.scores"), (b * nh, dh, se));
+            assert_eq!(dims(&session, "dec.0.attn.ctx"), (b * nh, kv, dh));
+            assert_eq!(dims(&session, "head.lm"), (b, h, v));
+        }
     }
 
     #[test]

@@ -14,37 +14,15 @@
 use crate::cancel::{CancelToken, ForwardCancelled};
 use crate::probe::ProbeStore;
 use crate::softmax::Softmax;
-use qt_autograd::{reduce_grad_to_shape, Tape, Var};
+use qt_autograd::{Tape, Var};
 use qt_quant::{
-    matmul_codes, AmaxTracker, ElemFormat, FakeQuant, OpClass, PackedQuantB, QuantScheme,
-    ScalingMode, TensorHealth,
+    AmaxTracker, ElemFormat, FakeQuant, OpClass, QuantScheme, ScalingMode, TensorHealth,
 };
-use qt_tensor::{Tensor, TensorStats};
+use qt_tensor::TensorStats;
 use qt_trace::{CycleModel, QuantEvent, SpanId, TraceHandle};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-/// One cached weight pack: the decoded KC×NR panels plus the fingerprint
-/// of the f32 weight bits it was built from. A fingerprint/shape mismatch
-/// (weight update, LoRA merge change, injected bit flip) repacks.
-struct PackEntry {
-    fingerprint: u64,
-    pack: Rc<PackedQuantB>,
-}
-
-/// FNV-1a over the exact f32 bit patterns — cheap (one linear pass),
-/// deterministic, and sensitive to any single-bit weight corruption.
-fn fnv1a64(data: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Quantization context threaded through a model's forward pass.
 #[derive(Clone)]
@@ -55,9 +33,6 @@ pub struct QuantCtx {
     softmax: Rc<Softmax>,
     tracker: Rc<RefCell<AmaxTracker>>,
     health: Rc<RefCell<BTreeMap<String, TensorHealth>>>,
-    /// Per-GEMM-site cache of decoded weight packs (inference only;
-    /// shared across clones of this context, like the health map).
-    gemm_cache: Rc<RefCell<BTreeMap<String, PackEntry>>>,
     probe: Option<Rc<RefCell<ProbeStore>>>,
     trace: Option<TraceHandle>,
     cycles: Option<Rc<dyn CycleModel>>,
@@ -97,7 +72,6 @@ impl QuantCtx {
             softmax: Rc::new(Softmax::new(scheme.softmax)),
             tracker: Rc::new(RefCell::new(AmaxTracker::new(history))),
             health: Rc::new(RefCell::new(BTreeMap::new())),
-            gemm_cache: Rc::new(RefCell::new(BTreeMap::new())),
             probe: None,
             trace: None,
             cycles: None,
@@ -179,13 +153,18 @@ impl QuantCtx {
         }
     }
 
-    /// Record a simulated-GEMM span at `site` for a `[m, k] × [k, n]`
-    /// GEMM, and attribute its simulated cycles to the active kernel
+    /// Record a simulated-GEMM span at `site` for `x @ w` as the
+    /// accelerator sees it: one `[m, k] × [k, n]` product with `k` the last
+    /// axis of `x`, `m` the product of its leading axes and `n` the last
+    /// axis of `w`. Attributes the simulated cycles to the active kernel
     /// backend (`gemm.backend.cycles`, labelled by the dispatch decision —
     /// deterministic, never wall time). No-op unless both a session and a
     /// cycle model are attached.
-    pub fn gemm_span(&self, site: &str, m: usize, k: usize, n: usize) {
-        if let (Some(t), Some(cm)) = (&self.trace, &self.cycles) {
+    fn gemm_span(&self, site: &str, x: &[usize], w: &[usize]) {
+        if let (Some(t), Some(cm), Some((&k, lead)), Some(&n)) =
+            (&self.trace, &self.cycles, x.split_last(), w.last())
+        {
+            let m: usize = lead.iter().product();
             let cost = cm.gemm_cost(m as u64, k as u64, n as u64);
             let mut t = t.borrow_mut();
             t.metrics_mut().counter_add(
@@ -197,30 +176,8 @@ impl QuantCtx {
         }
     }
 
-    /// Count one GEMM dispatch on the `gemm.backend` metric: which SIMD
-    /// backend the kernel layer selected and which domain the multiply ran
-    /// in (`code` = pre-packed quantized weight, `f32` = dequantize-then-
-    /// matmul). Records the dispatch *decision*, so manifests stay
-    /// deterministic. No-op untraced.
-    fn note_gemm_backend(&self, domain: &str) {
-        if let Some(t) = &self.trace {
-            t.borrow_mut().metrics_mut().counter_add(
-                "gemm.backend",
-                &[
-                    ("backend", qt_tensor::kernels::active().name()),
-                    ("domain", domain),
-                ],
-                1,
-            );
-        }
-    }
-
     /// The scheme in effect.
     pub fn scheme(&self) -> &QuantScheme {
-        self.scheme_ref()
-    }
-
-    fn scheme_ref(&self) -> &QuantScheme {
         &self.scheme
     }
 
@@ -362,106 +319,34 @@ impl QuantCtx {
         )
     }
 
-    /// Quantize a weight tensor entering a GEMM. Weights are always cut at
-    /// GEMM sites in an 8-bit scheme.
-    pub fn cut_weight(&self, tape: &mut Tape, w: Var, name: &str) -> Var {
-        self.cut(tape, w, OpClass::Gemm, name)
-    }
-
-    /// The quantized GEMM entry point: `x @ w` where both operands have
-    /// already been cut. In an inference context with a quantized scheme
-    /// and a 2-D weight, this runs the **code-domain path**: the weight is
-    /// encoded to storage codes and decoded once into packed `KC × NR`
-    /// panels (cached per `site`, validated by shape + an FNV-1a
-    /// fingerprint of the exact weight bits, so weight updates and
-    /// injected bit flips repack), then multiplied through the
-    /// SIMD-dispatched blocked engine without materializing a fresh f32
-    /// weight per call. Anything else — training, `Fp32` schemes, batched
-    /// weights — takes the ordinary [`Tape::matmul`].
+    /// The model's GEMM entry point: `x @ w` where both operands have
+    /// already been cut, so the multiply itself runs on 8-bit grid values
+    /// in the f32 carrier — the paper's simulation recipe — through the
+    /// ordinary [`Tape::matmul`] and its exact backward.
     ///
-    /// Both paths are bitwise-identical (the code-domain contract is
-    /// asserted in tests) and both register the exact matmul backward, so
-    /// gradients are unaffected by the forward path choice.
+    /// Traced, it records the GEMM span at `site` (see `gemm_span`) and
+    /// counts the dispatch on `gemm.backend{backend, domain="f32"}` — the
+    /// SIMD backend the kernel layer selected, a deterministic decision.
     pub fn matmul_q(&self, tape: &mut Tape, x: Var, w: Var, site: &str) -> Var {
-        let code_eligible = !self.training
-            && !matches!(self.scheme.fwd, ElemFormat::Fp32)
-            && tape.value(w).ndim() == 2
-            && tape.value(x).ndim() >= 2
-            && tape.value(x).shape()[tape.value(x).ndim() - 1] == tape.value(w).shape()[0];
-        if !code_eligible {
-            self.note_gemm_backend("f32");
-            return tape.matmul(x, w);
-        }
-        let pack = self.weight_pack(site, tape.value(w));
-        let y = matmul_codes(tape.value(x), &pack);
-        self.note_gemm_backend("code");
-        tape.custom(
-            vec![x, w],
-            y,
-            Box::new(|g, parents, _| {
-                // Exactly Tape::matmul's backward.
-                let ga = g.matmul(&parents[1].transpose_last2());
-                let gb = parents[0].transpose_last2().matmul(g);
-                vec![
-                    reduce_grad_to_shape(&ga, parents[0].shape()),
-                    reduce_grad_to_shape(&gb, parents[1].shape()),
-                ]
-            }),
-        )
-    }
-
-    /// Fetch (or build) the decoded panel pack for `site`'s weight.
-    fn weight_pack(&self, site: &str, w: &Tensor) -> Rc<PackedQuantB> {
-        let fp = fnv1a64(w.data());
-        let (k, n) = (w.shape()[0], w.shape()[1]);
-        let mut cache = self.gemm_cache.borrow_mut();
-        if let Some(e) = cache.get(site) {
-            if e.fingerprint == fp && e.pack.k() == k && e.pack.n() == n {
-                self.note_pack_cache("hit");
-                return Rc::clone(&e.pack);
-            }
-        }
-        let codes = self
-            .fq_fwd
-            .quantize_to_codes(w)
-            .expect("code path requires a non-Fp32 scheme");
-        let pack = Rc::new(PackedQuantB::pack(&codes));
-        cache.insert(
-            site.to_string(),
-            PackEntry {
-                fingerprint: fp,
-                pack: Rc::clone(&pack),
-            },
-        );
-        self.note_pack_cache("miss");
-        pack
-    }
-
-    /// Count a weight-pack cache event (`gemm.pack_cache`, labelled
-    /// hit/miss). No-op untraced.
-    fn note_pack_cache(&self, event: &str) {
         if let Some(t) = &self.trace {
-            t.borrow_mut()
-                .metrics_mut()
-                .counter_add("gemm.pack_cache", &[("event", event)], 1);
+            self.gemm_span(site, tape.value(x).shape(), tape.value(w).shape());
+            t.borrow_mut().metrics_mut().counter_add(
+                "gemm.backend",
+                &[
+                    ("backend", qt_tensor::kernels::active().name()),
+                    ("domain", "f32"),
+                ],
+                1,
+            );
         }
+        tape.matmul(x, w)
     }
 
-    /// Number of weight packs currently cached (tests / diagnostics).
-    pub fn cached_packs(&self) -> usize {
-        self.gemm_cache.borrow().len()
-    }
-
-    /// The scheme's softmax, recorded with its custom backward.
-    pub fn softmax(&self, tape: &mut Tape, scores: Var) -> Var {
-        self.softmax.apply(tape, scores)
-    }
-
-    /// [`QuantCtx::softmax`] that also attributes vector-unit cycles at
-    /// `site` when a session and cycle model are attached. Rows are the
-    /// product of the leading dimensions, width the trailing one — the
-    /// shape the accelerator's vector unit sees.
-    pub fn softmax_named(&self, tape: &mut Tape, scores: Var, site: &str) -> Var {
+    /// The scheme's softmax, recorded with its custom backward. Traced with
+    /// a cycle model, also attributes vector-unit cycles at `site`: rows
+    /// are the product of the leading dimensions, width the trailing one —
+    /// the shape the accelerator's vector unit sees.
+    pub fn softmax(&self, tape: &mut Tape, scores: Var, site: &str) -> Var {
         if let (Some(t), Some(cm)) = (&self.trace, &self.cycles) {
             let shape = tape.value(scores).shape().to_vec();
             if let Some((&width, rows)) = shape.split_last() {
@@ -654,7 +539,7 @@ mod tests {
         assert!(!ctx.traced());
         assert!(ctx.span_begin("x", "block").is_none());
         ctx.span_end(None);
-        ctx.gemm_span("g", 4, 4, 4); // no session/model: silently ignored
+        ctx.gemm_span("g", &[4, 4], &[4, 4]); // no session/model: silently ignored
     }
 
     #[test]
@@ -666,83 +551,57 @@ mod tests {
         let ws: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.031 - 4.0).collect();
         let x0 = tape.leaf(Tensor::from_vec(xs, &[b, m, k]), true);
         let w0 = tape.leaf(Tensor::from_vec(ws, &[k, n]), true);
-        // Cut both operands as the model does; code path quantizes the
-        // (already on-grid) weight idempotently.
+        // Cut both operands as the model does, then multiply the grid
+        // values: matmul_q must be exactly Tape::matmul, forward and
+        // backward.
         let x = ctx.cut(&mut tape, x0, OpClass::Gemm, "x");
-        let w = ctx.cut_weight(&mut tape, w0, "w");
+        let w = ctx.cut(&mut tape, w0, OpClass::Gemm, "w");
         let yq = ctx.matmul_q(&mut tape, x, w, "site");
         let yf = tape.matmul(x, w);
         let (qv, fv) = (tape.value(yq).clone(), tape.value(yf).clone());
         assert_eq!(qv.shape(), fv.shape());
         for (a, b) in qv.data().iter().zip(fv.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "code path diverged: {a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "matmul_q diverged: {a} vs {b}");
         }
-        // Backward through the custom node is the exact matmul backward.
         let sq = tape.sum_all(yq);
         let gq = tape.backward(sq);
         let sf = tape.sum_all(yf);
         let gf = tape.backward(sf);
         for v in [x0, w0] {
             let (a, b) = (gq.get(v).unwrap(), gf.get(v).unwrap());
-            assert_eq!(a.data(), b.data(), "grad mismatch through code path");
+            assert_eq!(a.data(), b.data(), "grad mismatch through matmul_q");
         }
     }
 
+    /// Every GEMM a traced forward issues — inference or training, linear
+    /// or batched attention — runs in the f32 domain and is counted there.
     #[test]
-    fn matmul_q_caches_packs_and_repacks_on_weight_change() {
-        let session = qt_trace::TraceSession::new("t").handle();
-        let ctx = QuantCtx::inference(QuantScheme::posit8()).with_trace(Rc::clone(&session));
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(vec![1.0; 8], &[2, 4]), false);
-        let w1 = tape.leaf(Tensor::from_vec(vec![0.5; 12], &[4, 3]), false);
-        let _ = ctx.matmul_q(&mut tape, x, w1, "site");
-        assert_eq!(ctx.cached_packs(), 1);
-        let _ = ctx.matmul_q(&mut tape, x, w1, "site");
-        assert_eq!(ctx.cached_packs(), 1, "same bits must reuse the pack");
-        // Same site, different weight bits: fingerprint mismatch repacks.
-        let w2 = tape.leaf(Tensor::from_vec(vec![0.25; 12], &[4, 3]), false);
-        let _ = ctx.matmul_q(&mut tape, x, w2, "site");
-        assert_eq!(ctx.cached_packs(), 1, "stale entry replaced, not grown");
-        let sess = session.borrow();
-        let m = sess.metrics();
-        assert_eq!(m.counter_value("gemm.pack_cache", &[("event", "miss")]), 2);
-        assert_eq!(m.counter_value("gemm.pack_cache", &[("event", "hit")]), 1);
-        assert_eq!(
-            m.counter_value(
-                "gemm.backend",
-                &[("backend", qt_tensor::kernels::active().name()), ("domain", "code")]
-            ),
-            3
-        );
-    }
-
-    #[test]
-    fn matmul_q_falls_back_to_f32_when_ineligible() {
-        // Training contexts and Fp32 schemes must not take the code path.
-        let session = qt_trace::TraceSession::new("t").handle();
-        let ctx = QuantCtx::training(QuantScheme::posit8()).with_trace(Rc::clone(&session));
-        let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]), true);
-        let w = tape.leaf(Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]), true);
-        let y = ctx.matmul_q(&mut tape, x, w, "site");
-        assert_eq!(tape.value(y).data(), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(ctx.cached_packs(), 0);
-        // Batched (non-2-D) weights fall back too, e.g. attention scores.
-        let ctx2 = QuantCtx::inference(QuantScheme::posit8());
-        let mut tape2 = Tape::new();
-        let a = tape2.leaf(Tensor::from_vec(vec![1.0; 8], &[2, 2, 2]), false);
-        let bt = tape2.leaf(Tensor::from_vec(vec![1.0; 8], &[2, 2, 2]), false);
-        let _ = ctx2.matmul_q(&mut tape2, a, bt, "scores");
-        assert_eq!(ctx2.cached_packs(), 0);
-        let sess = session.borrow();
-        let m = sess.metrics();
-        assert_eq!(
-            m.counter_value(
-                "gemm.backend",
-                &[("backend", qt_tensor::kernels::active().name()), ("domain", "f32")]
-            ),
-            1
-        );
+    fn traced_forwards_count_every_gemm_in_the_f32_domain() {
+        use crate::{Model, TaskHead, TokenBatch, TrainMode, TransformerConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let cfg = TransformerConfig::gpt2_large_sim();
+        let model = Model::new(cfg.clone(), TaskHead::LmTied, &mut rng);
+        let batch = TokenBatch::dense((0..8).map(|i| i % cfg.vocab).collect(), 2, 4);
+        let backend = qt_tensor::kernels::active().name();
+        for ctx in [
+            QuantCtx::inference(QuantScheme::posit8()),
+            QuantCtx::training(QuantScheme::posit8()),
+        ] {
+            let session = qt_trace::TraceSession::new("t").handle();
+            let ctx = ctx.with_trace(Rc::clone(&session));
+            let mut tape = Tape::new();
+            let _ = model.forward(&mut tape, &ctx, &batch, None, TrainMode::Frozen);
+            // Per block: q/k/v/o + scores + ctx + the FFN pair; then head.lm.
+            let gemms = cfg.layers * (6 + 2 * cfg.stacked_ffn) + 1;
+            let m = session.borrow();
+            let count = |domain| {
+                m.metrics()
+                    .counter_value("gemm.backend", &[("backend", backend), ("domain", domain)])
+            };
+            assert_eq!(count("f32"), gemms as u64, "training={}", ctx.is_training());
+            assert_eq!(count("code"), 0, "training={}", ctx.is_training());
+        }
     }
 
     #[test]

@@ -5,10 +5,7 @@
 
 use proptest::prelude::*;
 use qt_posit::UnderflowPolicy;
-use qt_quant::{
-    matmul_codes, matmul_product_lut, ElemFormat, FakeQuant, PackedCodesB, PackedQuantB,
-    ProductLut,
-};
+use qt_quant::{matmul_codes, ElemFormat, FakeQuant, PackedQuantB};
 use qt_tensor::kernels::{with_backend, GemmBackend, ALL_BACKENDS};
 use qt_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
@@ -212,64 +209,6 @@ fn lut_matches_reference_on_all_bf16_spaced_inputs() {
     }
 }
 
-/// Every cell of the 2^16-entry product LUT must hold exactly the bits
-/// of `decode(a) * decode(b)` — one IEEE rounding, same as the kernel
-/// multiply — and its zero-skip flags must mirror the kernels' `av == 0`
-/// test, for every 8-bit storage format (9-bit E5M3 is rejected by
-/// `ProductLut::new` — covered in qt-quant's tests). Exhaustive: all
-/// 256 × 256 code pairs per format.
-#[test]
-fn product_lut_matches_reference_exhaustively() {
-    for fmt in [
-        ElemFormat::P8E0,
-        ElemFormat::P8E1,
-        ElemFormat::P8E2,
-        ElemFormat::E4M3,
-        ElemFormat::E5M2,
-    ] {
-        let lut = ProductLut::new(fmt, fmt).expect("8-bit format");
-        let ncodes = 1u32 << fmt.bits();
-        for a in 0..ncodes as u16 {
-            let Some(av) = fmt.decode_code(a) else {
-                continue;
-            };
-            for b in 0..ncodes as u16 {
-                let Some(bv) = fmt.decode_code(b) else {
-                    continue;
-                };
-                let got = lut.product(a, b);
-                let want = av * bv;
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{fmt:?} codes ({a}, {b}): {got:e} vs {want:e}"
-                );
-            }
-        }
-    }
-}
-
-/// The full product-LUT GEMM must equal the dequantized f32 GEMM
-/// bit-for-bit (both operands quantized), per 8-bit format.
-#[test]
-fn product_lut_gemm_matches_dequantized_gemm() {
-    let mut rng = StdRng::seed_from_u64(31);
-    for fmt in [ElemFormat::P8E1, ElemFormat::E4M3] {
-        let fq = FakeQuant::new(fmt);
-        let a = Tensor::randn(&[9, 33], &mut rng);
-        let b = Tensor::randn(&[33, 17], &mut rng);
-        let aq = fq.quantize_to_codes(&a).expect("8-bit");
-        let wq = fq.quantize_to_codes(&b).expect("8-bit");
-        let pack = PackedCodesB::pack(&wq);
-        let lut = ProductLut::new(fmt, fmt).expect("8-bit");
-        let reference = qt_par::serial(|| aq.dequantize().matmul(&wq.dequantize()));
-        for t in [1usize, 4] {
-            let out = qt_par::with_threads(t, || matmul_product_lut(&aq, &pack, &lut));
-            assert_eq!(out.data(), reference.data(), "{fmt:?} t={t}");
-        }
-    }
-}
-
 /// The counter feeding the `par.chunk_tasks` metric must not depend on
 /// the pool size — chunk decomposition is a function of the workload.
 #[test]
@@ -323,8 +262,7 @@ fn env_named_kernels_json_validates() {
             assert!(t.as_f64().unwrap_or(-1.0) >= 0.0, "{what}.{k}");
         }
     };
-    // GEMM rows: f32/code carry a per-backend timing matrix, lut a plain
-    // pool-size map.
+    // GEMM rows: each domain carries a per-backend timing matrix.
     let gemm = v["gemm"].as_array().expect("gemm array");
     assert!(!gemm.is_empty(), "gemm rows");
     for row in gemm {
@@ -338,7 +276,6 @@ fn env_named_kernels_json_validates() {
                     check_ms(ms, &format!("gemm[{domain}].{bname}"));
                 }
             }
-            "lut" => check_ms(&row["ms"], "gemm[lut]"),
             other => panic!("unknown gemm domain {other:?}"),
         }
     }
