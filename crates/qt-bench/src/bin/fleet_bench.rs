@@ -77,32 +77,15 @@
 //! `BENCH_telemetry.json`, and `BENCH_adapt.json`.
 
 use qt_adapt::{AutoscaleConfig, BrownoutConfig, CodelConfig, GrayConfig};
+use qt_bench::{name_seed, parse_next};
 use qt_fleet::{
-    audit_unflagged_corruption, run_fleet_observed, ArrivalShape, DirSnapStore, FleetConfig,
-    FleetLoadSpec, FleetReport, ReplicaSpec, RouterPolicy,
+    audit_unflagged_corruption, run_fleet, ArrivalShape, DirSnapStore, FleetConfig, FleetLoadSpec,
+    FleetReport, ReplicaSpec, RouterPolicy,
 };
 use qt_quant::ElemFormat;
 use qt_robust::{BerFaultSource, CodeFormat, CrashSchedule, FaultSource, NoFaults};
 use qt_transformer::{Model, TaskHead, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
-
-/// splitmix64 step — the standard seed-spreading finalizer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Per-policy arrival seed: fold the policy name into the base seed so
-/// each policy replays an independent (but reproducible) user stream.
-fn policy_seed(base: u64, name: &str) -> u64 {
-    let mut x = base;
-    for b in name.bytes() {
-        x = splitmix64(x ^ u64::from(b));
-    }
-    splitmix64(x)
-}
 
 /// Per-priority-tier offered/served/availability breakdown, mirroring
 /// `qt_adapt::PriorityTier::of_user` (user % 4: 0,1 paid; 2 best
@@ -183,56 +166,16 @@ fn main() {
     let mut it = opts.extra.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rps" => {
-                if let Some(v) = it.next() {
-                    rps = v.parse().unwrap_or(rps);
-                }
-            }
-            "--duration" => {
-                if let Some(v) = it.next() {
-                    duration_s = v.parse().unwrap_or(duration_s);
-                }
-            }
-            "--deadline-ms" => {
-                if let Some(v) = it.next() {
-                    deadline_ms = v.parse().unwrap_or(deadline_ms);
-                }
-            }
-            "--shape" => {
-                if let Some(v) = it.next() {
-                    shape = v.clone();
-                }
-            }
-            "--period-ms" => {
-                if let Some(v) = it.next() {
-                    period_ms = v.parse().unwrap_or(period_ms);
-                }
-            }
-            "--users" => {
-                if let Some(v) = it.next() {
-                    users = v.parse().unwrap_or(users);
-                }
-            }
-            "--tenants" => {
-                if let Some(v) = it.next() {
-                    tenants = v.parse().unwrap_or(tenants);
-                }
-            }
-            "--quota" => {
-                if let Some(v) = it.next() {
-                    quota = v.parse().unwrap_or(quota);
-                }
-            }
-            "--seq" => {
-                if let Some(v) = it.next() {
-                    seq = v.parse().unwrap_or(seq);
-                }
-            }
-            "--replicas" => {
-                if let Some(v) = it.next() {
-                    n_replicas = v.parse().unwrap_or(n_replicas);
-                }
-            }
+            "--rps" => parse_next(&mut it, &mut rps),
+            "--duration" => parse_next(&mut it, &mut duration_s),
+            "--deadline-ms" => parse_next(&mut it, &mut deadline_ms),
+            "--shape" => parse_next(&mut it, &mut shape),
+            "--period-ms" => parse_next(&mut it, &mut period_ms),
+            "--users" => parse_next(&mut it, &mut users),
+            "--tenants" => parse_next(&mut it, &mut tenants),
+            "--quota" => parse_next(&mut it, &mut quota),
+            "--seq" => parse_next(&mut it, &mut seq),
+            "--replicas" => parse_next(&mut it, &mut n_replicas),
             "--formats" => {
                 if let Some(v) = it.next() {
                     let parsed: Vec<ElemFormat> =
@@ -242,11 +185,7 @@ fn main() {
                     }
                 }
             }
-            "--ber" => {
-                if let Some(v) = it.next() {
-                    ber = v.parse().unwrap_or(ber);
-                }
-            }
+            "--ber" => parse_next(&mut it, &mut ber),
             "--crash" => {
                 if let Some(v) = it.next() {
                     let parts: Vec<&str> = v.split(':').collect();
@@ -259,65 +198,21 @@ fn main() {
                     }
                 }
             }
-            "--mtbf-ms" => {
-                if let Some(v) = it.next() {
-                    mtbf_ms = v.parse().unwrap_or(mtbf_ms);
-                }
-            }
-            "--mttr-ms" => {
-                if let Some(v) = it.next() {
-                    mttr_ms = v.parse().unwrap_or(mttr_ms);
-                }
-            }
-            "--policy" => {
-                if let Some(v) = it.next() {
-                    policy_arg = v.clone();
-                }
-            }
+            "--mtbf-ms" => parse_next(&mut it, &mut mtbf_ms),
+            "--mttr-ms" => parse_next(&mut it, &mut mttr_ms),
+            "--policy" => parse_next(&mut it, &mut policy_arg),
             "--no-hedge" => hedge = false,
-            "--max-failovers" => {
-                if let Some(v) = it.next() {
-                    max_failovers = v.parse().unwrap_or(max_failovers);
-                }
-            }
-            "--snapshot-ms" => {
-                if let Some(v) = it.next() {
-                    snapshot_ms = v.parse().unwrap_or(snapshot_ms);
-                }
-            }
+            "--max-failovers" => parse_next(&mut it, &mut max_failovers),
+            "--snapshot-ms" => parse_next(&mut it, &mut snapshot_ms),
             "--smoke" => smoke = true,
-            "--slo-availability" => {
-                if let Some(v) = it.next() {
-                    slo_availability = v.parse().unwrap_or(slo_availability);
-                }
-            }
-            "--slo-p99-ms" => {
-                if let Some(v) = it.next() {
-                    slo_p99_ms = v.parse().unwrap_or(slo_p99_ms);
-                }
-            }
-            "--slo-window-scale" => {
-                if let Some(v) = it.next() {
-                    slo_window_scale = v.parse().unwrap_or(slo_window_scale);
-                }
-            }
-            "--telemetry-interval-ms" => {
-                if let Some(v) = it.next() {
-                    telemetry_interval_ms = v.parse().unwrap_or(telemetry_interval_ms);
-                }
-            }
-            "--flight-cap" => {
-                if let Some(v) = it.next() {
-                    flight_cap = v.parse().unwrap_or(flight_cap);
-                }
-            }
+            "--slo-availability" => parse_next(&mut it, &mut slo_availability),
+            "--slo-p99-ms" => parse_next(&mut it, &mut slo_p99_ms),
+            "--slo-window-scale" => parse_next(&mut it, &mut slo_window_scale),
+            "--telemetry-interval-ms" => parse_next(&mut it, &mut telemetry_interval_ms),
+            "--flight-cap" => parse_next(&mut it, &mut flight_cap),
             "--expect-alerts" => expect_alerts = true,
             "--expect-no-alerts" => expect_no_alerts = true,
-            "--adapt-interval-ms" => {
-                if let Some(v) = it.next() {
-                    adapt_interval_ms = v.parse().unwrap_or(adapt_interval_ms);
-                }
-            }
+            "--adapt-interval-ms" => parse_next(&mut it, &mut adapt_interval_ms),
             "--brownout" => brownout_flag = true,
             "--autoscale" => {
                 if let Some(v) = it.next() {
@@ -500,7 +395,7 @@ fn main() {
     let mut reports: Vec<(RouterPolicy, FleetReport, u64)> = Vec::new();
     let mut adapt_docs: Vec<serde_json::Value> = Vec::new();
     for policy in policies {
-        let arrival_seed = policy_seed(opts.seed, policy.name());
+        let arrival_seed = name_seed(opts.seed, policy.name());
         let requests = load_spec(arrival_seed).requests(vocab);
         eprintln!(
             "[fleet_bench] {}: {} requests (arrival seed {arrival_seed:#018x})",
@@ -544,18 +439,18 @@ fn main() {
             seed: opts.seed,
             ..qt_telemetry::TelemetryConfig::default()
         };
-        let tel = qt_telemetry::TelemetrySink::handle(tel_cfg, cfg.replicas.len());
-        let report = run_fleet_observed(
+        let mut sink = qt_telemetry::TelemetrySink::new(tel_cfg, cfg.replicas.len());
+        let report = run_fleet(
             &model,
             &cfg,
             &requests,
             faults_for(&specs),
             Box::new(DirSnapStore::new(&snap_dir)),
             trace.as_ref(),
-            Some(&tel),
+            &mut sink,
         );
         if let Some(t) = trace.as_ref() {
-            qt_telemetry::export_to_trace(&tel.borrow(), &mut t.borrow_mut());
+            qt_telemetry::export_to_trace(&sink, &mut t.borrow_mut());
         }
         popts.close_trace(trace);
         assert!(
@@ -592,7 +487,6 @@ fn main() {
 
         // Telemetry artifacts: per-policy scoreboard section plus the
         // raw series/alert streams as JSONL (all atomic writes).
-        let sink = tel.borrow();
         let fires = sink.slo().fires();
         total_alert_fires += fires as u64;
         let series_path = opts
@@ -624,7 +518,6 @@ fn main() {
             fires,
             sink.dumps().len()
         );
-        drop(sink);
         policy_docs.push(doc);
         reports.push((policy, report, unflagged));
     }

@@ -46,33 +46,16 @@
 
 use std::collections::{HashMap, HashSet};
 
+use qt_bench::{name_seed, parse_next, splitmix64};
 use qt_fleet::{
-    audit_unflagged_corruption, run_fleet_observed, ArrivalShape, DirSnapStore, FleetConfig,
-    FleetLoadSpec, FleetReport, ReplicaSpec, RouterPolicy, ShieldConfig,
+    audit_unflagged_corruption, run_fleet, ArrivalShape, DirSnapStore, FleetConfig, FleetLoadSpec,
+    FleetReport, ReplicaSpec, RouterPolicy, ShieldConfig,
 };
 use qt_quant::ElemFormat;
 use qt_robust::{FaultSource, NoFaults, StorageFaultModel};
 use qt_telemetry::Scope;
 use qt_transformer::{Model, TaskHead, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
-
-/// splitmix64 step — the standard seed-spreading finalizer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Per-leg arrival seed: fold the leg name into the base seed so the
-/// two legs replay independent (but reproducible) request streams.
-fn leg_seed(base: u64, name: &str) -> u64 {
-    let mut x = base;
-    for b in name.bytes() {
-        x = splitmix64(x ^ u64::from(b));
-    }
-    splitmix64(x)
-}
 
 /// SEC-DED codeword width — must mirror `qt_shield::CODE_BITS`, which
 /// qt-bench reaches only transitively. The offline replay asserts its
@@ -163,26 +146,10 @@ fn main() {
     let mut it = opts.extra.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rps" => {
-                if let Some(v) = it.next() {
-                    rps = v.parse().unwrap_or(rps);
-                }
-            }
-            "--duration" => {
-                if let Some(v) = it.next() {
-                    duration_s = v.parse().unwrap_or(duration_s);
-                }
-            }
-            "--deadline-ms" => {
-                if let Some(v) = it.next() {
-                    deadline_ms = v.parse().unwrap_or(deadline_ms);
-                }
-            }
-            "--replicas" => {
-                if let Some(v) = it.next() {
-                    n_replicas = v.parse().unwrap_or(n_replicas);
-                }
-            }
+            "--rps" => parse_next(&mut it, &mut rps),
+            "--duration" => parse_next(&mut it, &mut duration_s),
+            "--deadline-ms" => parse_next(&mut it, &mut deadline_ms),
+            "--replicas" => parse_next(&mut it, &mut n_replicas),
             "--format" => {
                 if let Some(v) = it.next() {
                     if let Some(f) = ElemFormat::parse(v) {
@@ -190,31 +157,11 @@ fn main() {
                     }
                 }
             }
-            "--seq" => {
-                if let Some(v) = it.next() {
-                    seq = v.parse().unwrap_or(seq);
-                }
-            }
-            "--ber" => {
-                if let Some(v) = it.next() {
-                    ber = v.parse().unwrap_or(ber);
-                }
-            }
-            "--scrub-ms" => {
-                if let Some(v) = it.next() {
-                    scrub_ms = v.parse().unwrap_or(scrub_ms);
-                }
-            }
-            "--scrub-budget" => {
-                if let Some(v) = it.next() {
-                    scrub_budget = v.parse().unwrap_or(scrub_budget);
-                }
-            }
-            "--repair-us-per-word" => {
-                if let Some(v) = it.next() {
-                    repair_us_per_word = v.parse().unwrap_or(repair_us_per_word);
-                }
-            }
+            "--seq" => parse_next(&mut it, &mut seq),
+            "--ber" => parse_next(&mut it, &mut ber),
+            "--scrub-ms" => parse_next(&mut it, &mut scrub_ms),
+            "--scrub-budget" => parse_next(&mut it, &mut scrub_budget),
+            "--repair-us-per-word" => parse_next(&mut it, &mut repair_us_per_word),
             "--bers" => {
                 if let Some(v) = it.next() {
                     let parsed: Vec<f64> =
@@ -268,7 +215,7 @@ fn main() {
     let mut leg_reports: Vec<(&str, f64, FleetReport, u64)> = Vec::new();
     let mut scrub_windows = 0u64;
     for (name, leg_ber) in legs {
-        let arrival_seed = leg_seed(opts.seed, name);
+        let arrival_seed = name_seed(opts.seed, name);
         let requests = FleetLoadSpec {
             rps,
             duration_us,
@@ -309,24 +256,24 @@ fn main() {
         }
         let lopts = opts.scoped(name);
         let trace = lopts.open_trace(&format!("integrity_bench_{name}"));
-        let tel = qt_telemetry::TelemetrySink::handle(
+        let mut sink = qt_telemetry::TelemetrySink::new(
             qt_telemetry::TelemetryConfig {
                 seed: opts.seed,
                 ..qt_telemetry::TelemetryConfig::default()
             },
             cfg.replicas.len(),
         );
-        let report = run_fleet_observed(
+        let report = run_fleet(
             &model,
             &cfg,
             &requests,
             faults(n_replicas),
             Box::new(DirSnapStore::new(&snap_dir)),
             trace.as_ref(),
-            Some(&tel),
+            &mut sink,
         );
         if let Some(t) = trace.as_ref() {
-            qt_telemetry::export_to_trace(&tel.borrow(), &mut t.borrow_mut());
+            qt_telemetry::export_to_trace(&sink, &mut t.borrow_mut());
         }
         lopts.close_trace(trace);
         assert!(
@@ -366,7 +313,6 @@ fn main() {
             replay.uncorrectable_words += one.uncorrectable_words;
         }
 
-        let sink = tel.borrow();
         let tel_doc = serde_json::json!({
             "scrub.corrected": tel_total(&sink, "scrub.corrected"),
             "scrub.read_corrected": tel_total(&sink, "scrub.read_corrected"),
@@ -374,7 +320,6 @@ fn main() {
             "scrub.quarantines": tel_total(&sink, "scrub.quarantines"),
             "scrub.repairs": tel_total(&sink, "scrub.repairs"),
         });
-        drop(sink);
         // Handled = corrected in place + the ≥2 bits of each word whose
         // double-bit detection was quarantined and repaired bit-exact.
         let handled = report.scrub_corrected + 2 * report.quarantines;

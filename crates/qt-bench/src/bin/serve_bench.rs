@@ -23,7 +23,7 @@
 //!
 //! Identical seed and flags ⇒ byte-identical `BENCH_serve.json`.
 
-use qt_bench::Opts;
+use qt_bench::{parse_next, Opts};
 use qt_robust::{BerFaultSource, BurstFaultSource, CodeFormat, FaultSource, NoFaults};
 use qt_serve::{run_sim, BreakerState, Engine, HealthSnapshot, LoadSpec, ServeConfig};
 use qt_transformer::{Model, TaskHead, TransformerConfig};
@@ -43,26 +43,10 @@ fn main() {
     let mut it = opts.extra.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rps" => {
-                if let Some(v) = it.next() {
-                    rps = v.parse().unwrap_or(rps);
-                }
-            }
-            "--duration" => {
-                if let Some(v) = it.next() {
-                    duration_s = v.parse().unwrap_or(duration_s);
-                }
-            }
-            "--deadline-ms" => {
-                if let Some(v) = it.next() {
-                    deadline_ms = v.parse().unwrap_or(deadline_ms);
-                }
-            }
-            "--ber" => {
-                if let Some(v) = it.next() {
-                    ber = v.parse().unwrap_or(ber);
-                }
-            }
+            "--rps" => parse_next(&mut it, &mut rps),
+            "--duration" => parse_next(&mut it, &mut duration_s),
+            "--deadline-ms" => parse_next(&mut it, &mut deadline_ms),
+            "--ber" => parse_next(&mut it, &mut ber),
             "--burst" => {
                 if let Some(v) = it.next() {
                     let parts: Vec<&str> = v.split(':').collect();
@@ -75,21 +59,9 @@ fn main() {
                     }
                 }
             }
-            "--workers" => {
-                if let Some(v) = it.next() {
-                    cfg.workers = v.parse().unwrap_or(cfg.workers);
-                }
-            }
-            "--queue-cap" => {
-                if let Some(v) = it.next() {
-                    cfg.queue_cap = v.parse().unwrap_or(cfg.queue_cap);
-                }
-            }
-            "--seq" => {
-                if let Some(v) = it.next() {
-                    seq = v.parse().unwrap_or(seq);
-                }
-            }
+            "--workers" => parse_next(&mut it, &mut cfg.workers),
+            "--queue-cap" => parse_next(&mut it, &mut cfg.queue_cap),
+            "--seq" => parse_next(&mut it, &mut seq),
             "--snapshot" => snapshot_path = it.next().map(Into::into),
             other => eprintln!("ignoring unknown argument {other:?}"),
         }

@@ -22,7 +22,7 @@
 //! Identical seed and flags ⇒ identical table.
 
 use qt_accel::{Accelerator, SramFaultModel, SystolicSim};
-use qt_bench::{classify_task_for, datapath_for, pretrain_classify, Opts, Table};
+use qt_bench::{classify_task_for, datapath_for, parse_next, pretrain_classify, Opts, Table};
 use qt_datagen::ClassifyKind;
 use qt_quant::{ElemFormat, QuantScheme};
 use qt_robust::{
@@ -81,16 +81,8 @@ fn main() {
                     cfg.formats = v.split(',').filter_map(parse_format).collect();
                 }
             }
-            "--trials" => {
-                if let Some(v) = it.next() {
-                    cfg.trials = v.parse().unwrap_or(cfg.trials);
-                }
-            }
-            "--ber" => {
-                if let Some(v) = it.next() {
-                    ber = v.parse().unwrap_or(ber);
-                }
-            }
+            "--trials" => parse_next(&mut it, &mut cfg.trials),
+            "--ber" => parse_next(&mut it, &mut ber),
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }

@@ -29,6 +29,36 @@ pub fn datapath_for(fmt: qt_quant::ElemFormat) -> qt_accel::Datapath {
     }
 }
 
+/// Parse the value after a flag into `slot`. A missing or unparsable
+/// value leaves `slot` as it was, so the flag's default stands.
+pub fn parse_next<'a, T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = &'a String>,
+    slot: &mut T,
+) {
+    if let Some(x) = args.next().and_then(|v| v.parse().ok()) {
+        *slot = x;
+    }
+}
+
+/// splitmix64 step — the standard seed-spreading finalizer.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Fold `name` into the `base` seed, so each named run of one binary (a
+/// routing policy, a bench leg) replays an independent but reproducible
+/// request stream.
+pub fn name_seed(base: u64, name: &str) -> u64 {
+    let mut x = base;
+    for b in name.bytes() {
+        x = splitmix64(x ^ u64::from(b));
+    }
+    splitmix64(x)
+}
+
 /// Command-line options shared by all experiment binaries.
 #[derive(Debug, Clone)]
 pub struct Opts {

@@ -235,8 +235,9 @@ impl ReplicaReport {
     }
 }
 
-/// Everything one fleet run produced.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything one fleet run produced. The simulation accumulates into
+/// a default report as it runs.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetReport {
     /// Routing policy name.
     pub policy: String,

@@ -20,10 +20,11 @@
 //! races (a pass finishing at exactly `down_at`, a failover leaving as
 //! the queue drains) deterministic instead of racy.
 //!
-//! The adaptive control plane (qt-adapt) hangs off the same loop: a
-//! periodic `AdaptTick` reads only sim-internal state (queue depths,
-//! attempt durations) — never telemetry — so attaching an observer
-//! still changes nothing about the run.
+//! Every run reports into a [`TelemetrySink`]. The sink only listens:
+//! nothing in the loop reads it back, so the report is independent of
+//! the telemetry config. The adaptive control plane (qt-adapt) hangs
+//! off the same loop: a periodic `AdaptTick` reads only sim-internal
+//! state (queue depths, attempt durations), never telemetry.
 //!
 //! Crash truncation is computed *synchronously* at pickup: the episode's
 //! crash boundary is the replica's next scheduled outage, so each pass's
@@ -34,7 +35,7 @@
 
 use crate::config::FleetConfig;
 use crate::load::FleetRequest;
-use crate::replica::{Replica, SnapStore};
+use crate::replica::{Replica, ReplicaStats, SnapStore};
 use crate::report::{
     AdaptEvent, Dispatch, DispatchCause, FleetOutcome, FleetReport, FleetResponse, ReplicaReport,
 };
@@ -50,8 +51,8 @@ use qt_serve::{
     integrity_health, pristine_codes_for_region, BreakerState, Episode, EpisodeEnd, EpisodeSpec,
     EventQueue, Ranked, Request, Route,
 };
-use qt_telemetry::TelemetryHandle;
-use qt_trace::{LogHist, TraceHandle};
+use qt_telemetry::TelemetrySink;
+use qt_trace::TraceHandle;
 use qt_transformer::Model;
 use std::collections::VecDeque;
 
@@ -180,33 +181,6 @@ fn run_episode(r: &Replica, job: &Job, start_us: u64, can_failover: bool, seed: 
     )
 }
 
-/// Mutable run accumulators, turned into the [`FleetReport`] at the end.
-#[derive(Default)]
-struct Acc {
-    served_primary: u64,
-    served_degraded: u64,
-    shed_queue_full: u64,
-    shed_quota: u64,
-    shed_no_replica: u64,
-    shed_overload: u64,
-    brownout_sheds: u64,
-    economy_served: u64,
-    deadline_miss: u64,
-    failovers: u64,
-    crash_failovers: u64,
-    hedges: u64,
-    requeued_on_crash: u64,
-    flagged_attempts: u64,
-    bits_flipped: u64,
-    latency: LogHist,
-    queue_wait: LogHist,
-    end_us: u64,
-    dispatches: Vec<Dispatch>,
-    responses: Vec<FleetResponse>,
-    /// Quarantine/repair decisions, in virtual-time order.
-    integrity_events: Vec<AdaptEvent>,
-}
-
 /// The adaptive control plane's sim-side state: the qt-adapt decision
 /// machines plus the fleet-owned signals and actuator state they drive.
 /// Everything here is derived from the virtual clock and sim-internal
@@ -282,12 +256,66 @@ impl AdaptState {
             scale_downs: 0,
         })
     }
+
+    /// Log one scale move on `r` to the audit trail and telemetry;
+    /// `active` is the replica count the move leaves taking traffic.
+    fn record_scale(
+        &mut self,
+        now: u64,
+        r: usize,
+        kind: &'static str,
+        active: usize,
+        tel: &mut TelemetrySink,
+    ) {
+        self.events.push(AdaptEvent {
+            at_us: now,
+            kind,
+            replica: Some(r),
+            detail: active as f64,
+        });
+        tel.scale(now, r, kind, active);
+    }
+
+    /// Complete `r`'s scale-down if it is draining and `idle` (nothing
+    /// in service or queued): it stays out of rotation until a boot.
+    fn finish_drain(&mut self, r: usize, now: u64, idle: bool, tel: &mut TelemetrySink) {
+        if idle && self.draining[r] {
+            self.draining[r] = false;
+            self.admin_down[r] = true;
+            self.record_scale(now, r, "scale_down_done", self.active(), tel);
+        }
+    }
+
+    /// Complete `r`'s boot: it joins the rotation.
+    fn finish_boot(&mut self, r: usize, now: u64, tel: &mut TelemetrySink) {
+        self.pending_up = self.pending_up.saturating_sub(1);
+        self.booting[r] = false;
+        self.admin_down[r] = false;
+        self.scale_ups += 1;
+        self.record_scale(now, r, "scale_up_done", self.active(), tel);
+    }
+}
+
+/// One replica per spec in the normalized `cfg`, paired with `faults` by
+/// index; missing entries get [`NoFaults`] (healthy hardware).
+fn build_replicas(
+    model: &Model,
+    cfg: &FleetConfig,
+    faults: Vec<Box<dyn FaultSource + Send + Sync>>,
+) -> Vec<Replica> {
+    let mut faults = faults.into_iter();
+    let mut replicas = Vec::with_capacity(cfg.replicas.len());
+    for (id, spec) in cfg.replicas.iter().cloned().enumerate() {
+        let fault = faults.next().unwrap_or_else(|| Box::new(NoFaults));
+        replicas.push(Replica::new(id, model.clone(), spec, fault, cfg.retry_seed));
+    }
+    replicas
 }
 
 /// The fleet: replicas, router, tenant book, snapshot store, and the
 /// event loop state. Build one with [`Fleet::new`], run it once with
 /// [`Fleet::run`].
-pub struct Fleet {
+pub struct Fleet<'t> {
     cfg: FleetConfig,
     replicas: Vec<Replica>,
     queues: Vec<VecDeque<Job>>,
@@ -296,9 +324,9 @@ pub struct Fleet {
     book: TenantBook,
     store: Box<dyn SnapStore>,
     events: EventQueue<Ev>,
-    acc: Acc,
-    /// Optional telemetry plane; `None` costs nothing.
-    telemetry: Option<TelemetryHandle>,
+    /// The report, accumulated in place as the run executes.
+    report: FleetReport,
+    tel: &'t mut TelemetrySink,
     /// Per-replica cursor into the breaker's transition log, so new
     /// transitions stream to telemetry exactly once.
     breaker_seen: Vec<usize>,
@@ -307,32 +335,30 @@ pub struct Fleet {
     adapt: Option<AdaptState>,
 }
 
-impl Fleet {
+impl<'t> Fleet<'t> {
     /// Build a fleet serving `model` on every replica in `cfg`.
     ///
     /// `faults` pairs with the replica list by index; missing entries
     /// get [`NoFaults`] (healthy hardware). `store` is where replicas
-    /// persist and recover their health snapshots.
+    /// persist and recover their health snapshots. Every fleet event
+    /// (arrival, dispatch, attempt, outcome, breaker transition, crash,
+    /// recovery, snapshot) is reported into `tel`, which should be built
+    /// for the same replica count as the fleet.
     pub fn new(
         model: &Model,
         cfg: FleetConfig,
         faults: Vec<Box<dyn FaultSource + Send + Sync>>,
         store: Box<dyn SnapStore>,
+        tel: &'t mut TelemetrySink,
     ) -> Self {
         let cfg = cfg.normalized();
-        let mut faults = faults;
-        while faults.len() < cfg.replicas.len() {
-            faults.push(Box::new(NoFaults));
-        }
-        faults.truncate(cfg.replicas.len());
-        let mut replicas = Vec::with_capacity(cfg.replicas.len());
-        for (id, (spec, fault)) in cfg.replicas.iter().cloned().zip(faults).enumerate() {
-            let mut r = Replica::new(id, model.clone(), spec, fault, cfg.retry_seed);
-            if let Some(sc) = &cfg.shield {
-                r = r.with_shield(sc);
-            }
-            replicas.push(r);
-        }
+        let replicas: Vec<Replica> = build_replicas(model, &cfg, faults)
+            .into_iter()
+            .map(|r| match &cfg.shield {
+                Some(sc) => r.with_shield(sc),
+                None => r,
+            })
+            .collect();
         let n = replicas.len();
         let adapt = AdaptState::new(&cfg, n);
         Self {
@@ -343,37 +369,24 @@ impl Fleet {
             replicas,
             store,
             events: EventQueue::default(),
-            acc: Acc::default(),
+            report: FleetReport::default(),
             cfg,
-            telemetry: None,
+            tel,
             breaker_seen: vec![0; n],
             adapt,
         }
-    }
-
-    /// Attach a telemetry sink; every fleet event (arrival, dispatch,
-    /// attempt, outcome, breaker transition, crash, recovery, snapshot)
-    /// is reported into it as the run executes. The sink should be
-    /// built for the same replica count as the fleet.
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = Some(telemetry);
-        self
     }
 
     /// Stream breaker transitions recorded since the last drain into
     /// the telemetry sink (state gauge, transition counters, flight
     /// ring — an Open transition freezes the replica's black box).
     fn drain_breaker_transitions(&mut self) {
-        let Some(tel) = self.telemetry.clone() else {
-            return;
-        };
-        let mut sink = tel.borrow_mut();
         for r in &self.replicas {
             let seen = &mut self.breaker_seen[r.id];
             let b = r.breaker.borrow();
             let trs = b.transitions();
             for tr in &trs[*seen..] {
-                sink.breaker(
+                self.tel.breaker(
                     tr.at_us,
                     r.id,
                     tr.from.name(),
@@ -421,6 +434,11 @@ impl Fleet {
             .collect()
     }
 
+    /// Nothing in service or queued on `r`.
+    fn idle(&self, r: usize) -> bool {
+        self.busy[r] == 0 && self.queues[r].is_empty()
+    }
+
     /// Which shed outcome honestly describes "the router found nothing":
     /// if some replica was healthy but full, admission capacity was the
     /// binding constraint; otherwise there was no healthy replica at all.
@@ -436,17 +454,18 @@ impl Fleet {
     }
 
     fn respond(&mut self, job: &Job, outcome: FleetOutcome, replica: Option<usize>, label: Option<usize>, finish_us: u64) {
+        let rep = &mut self.report;
         match outcome {
-            FleetOutcome::ServedPrimary => self.acc.served_primary += 1,
-            FleetOutcome::ServedDegraded => self.acc.served_degraded += 1,
-            FleetOutcome::ShedQueueFull => self.acc.shed_queue_full += 1,
-            FleetOutcome::ShedQuota => self.acc.shed_quota += 1,
-            FleetOutcome::ShedNoReplica => self.acc.shed_no_replica += 1,
-            FleetOutcome::ShedOverload => self.acc.shed_overload += 1,
-            FleetOutcome::DeadlineMiss => self.acc.deadline_miss += 1,
+            FleetOutcome::ServedPrimary => rep.served_primary += 1,
+            FleetOutcome::ServedDegraded => rep.served_degraded += 1,
+            FleetOutcome::ShedQueueFull => rep.shed_queue_full += 1,
+            FleetOutcome::ShedQuota => rep.shed_quota += 1,
+            FleetOutcome::ShedNoReplica => rep.shed_no_replica += 1,
+            FleetOutcome::ShedOverload => rep.shed_overload += 1,
+            FleetOutcome::DeadlineMiss => rep.deadline_miss += 1,
         }
         if job.economy && outcome.is_served() {
-            self.acc.economy_served += 1;
+            rep.economy_served += 1;
         }
         let latency_us = if outcome.is_shed() {
             0
@@ -454,21 +473,19 @@ impl Fleet {
             finish_us.saturating_sub(job.freq.req.arrival_us)
         };
         if !outcome.is_shed() {
-            self.acc.latency.observe(latency_us as f32);
+            rep.latency.observe(latency_us as f32);
         }
-        self.acc.end_us = self.acc.end_us.max(finish_us);
-        if let Some(tel) = self.telemetry.clone() {
-            tel.borrow_mut().outcome(
-                finish_us,
-                job.freq.req.id,
-                replica,
-                outcome.name(),
-                outcome.is_served(),
-                outcome.is_shed(),
-                latency_us,
-            );
-        }
-        self.acc.responses.push(FleetResponse {
+        rep.end_us = rep.end_us.max(finish_us);
+        self.tel.outcome(
+            finish_us,
+            job.freq.req.id,
+            replica,
+            outcome.name(),
+            outcome.is_served(),
+            outcome.is_shed(),
+            latency_us,
+        );
+        rep.responses.push(FleetResponse {
             id: job.freq.req.id,
             user: job.freq.user,
             tenant: job.freq.tenant,
@@ -492,7 +509,7 @@ impl Fleet {
         let views = self.views(now);
         match self.router.pick(&views, &job.excluded) {
             Some(target) => {
-                self.acc.dispatches.push(Dispatch {
+                self.report.dispatches.push(Dispatch {
                     req_id: job.freq.req.id,
                     at_us: now,
                     replica: target,
@@ -500,10 +517,8 @@ impl Fleet {
                     cause,
                     excluded: job.excluded.clone(),
                 });
-                if let Some(tel) = self.telemetry.clone() {
-                    tel.borrow_mut()
-                        .dispatch(now, job.freq.req.id, target, cause.name());
-                }
+                self.tel
+                    .dispatch(now, job.freq.req.id, target, cause.name());
                 self.place(target, job, now);
                 true
             }
@@ -529,9 +544,7 @@ impl Fleet {
             let depth = self.queues[target].len() as u64;
             let stats = &mut self.replicas[target].stats;
             stats.max_queue_depth = stats.max_queue_depth.max(depth);
-            if let Some(tel) = self.telemetry.clone() {
-                tel.borrow_mut().queue_depth(now, target, depth as usize);
-            }
+            self.tel.queue_depth(now, target, depth as usize);
             self.kick(target, now);
         }
     }
@@ -571,9 +584,9 @@ impl Fleet {
                 }
             }
             if let Some(target) = self.router.pick(&views, &job.excluded) {
-                self.acc.hedges += 1;
+                self.report.hedges += 1;
                 job.hedged = true;
-                self.acc.dispatches.push(Dispatch {
+                self.report.dispatches.push(Dispatch {
                     req_id: job.freq.req.id,
                     at_us: now,
                     replica: target,
@@ -581,9 +594,7 @@ impl Fleet {
                     cause: DispatchCause::Hedge,
                     excluded: job.excluded.clone(),
                 });
-                if let Some(tel) = self.telemetry.clone() {
-                    tel.borrow_mut().hedge(now, job.freq.req.id, target);
-                }
+                self.tel.hedge(now, job.freq.req.id, target);
                 self.place(target, job, now);
                 return;
             }
@@ -609,10 +620,8 @@ impl Fleet {
         if !job.waited {
             job.waited = true;
             let wait = now.saturating_sub(job.freq.req.arrival_us);
-            self.acc.queue_wait.observe(wait as f32);
-            if let Some(tel) = self.telemetry.clone() {
-                tel.borrow_mut().queue_wait(now, r, wait);
-            }
+            self.report.queue_wait.observe(wait as f32);
+            self.tel.queue_wait(now, r, wait);
         }
         // Read-path integrity check before the engine fetches weights:
         // single-bit rot is corrected transiently (the scrubber owns the
@@ -622,9 +631,7 @@ impl Fleet {
             let out = self.replicas[r].shield.as_mut().unwrap().shield.verify_reads();
             if out.corrected > 0 {
                 self.replicas[r].stats.read_corrected += out.corrected;
-                if let Some(tel) = self.telemetry.clone() {
-                    tel.borrow_mut().read_corrected(now, r, out.corrected);
-                }
+                self.tel.read_corrected(now, r, out.corrected);
             }
             for region in out.quarantined {
                 self.on_quarantine(r, region, now);
@@ -633,18 +640,10 @@ impl Fleet {
         let can_failover =
             self.replicas.len() > 1 && job.failovers < self.cfg.max_failovers && !job.economy;
         let ep = run_episode(&self.replicas[r], &job, now, can_failover, self.cfg.retry_seed);
-        if let Some(tel) = self.telemetry.clone() {
-            let mut sink = tel.borrow_mut();
-            for a in &ep.spans {
-                sink.attempt(
-                    job.freq.req.id,
-                    r,
-                    a.start_us,
-                    a.end_us,
-                    a.flagged,
-                    a.completed,
-                );
-            }
+        for a in &ep.spans {
+            let id = job.freq.req.id;
+            self.tel
+                .attempt(id, r, a.start_us, a.end_us, a.flagged, a.completed);
         }
         if let Some(a) = self.adapt.as_mut() {
             if a.gray.is_some() {
@@ -670,8 +669,6 @@ impl Fleet {
         let flagged = ep.flagged();
         job.attempts += ep.attempts();
         job.flagged += flagged;
-        self.acc.flagged_attempts += flagged as u64;
-        self.acc.bits_flipped += ep.bits_flipped;
         {
             let stats = &mut self.replicas[r].stats;
             stats.flagged_attempts += flagged as u64;
@@ -712,15 +709,13 @@ impl Fleet {
                 let crash = ep.end == EpisodeEnd::FailoverCrash;
                 job.excluded.push(r);
                 job.failovers += 1;
-                self.acc.failovers += 1;
-                if let Some(tel) = self.telemetry.clone() {
-                    let why = if crash { "crash" } else { "corrupt" };
-                    tel.borrow_mut().failover(at, job.freq.req.id, r, why);
-                }
+                self.report.failovers += 1;
+                let why = if crash { "crash" } else { "corrupt" };
+                self.tel.failover(at, job.freq.req.id, r, why);
                 let cause = if crash {
                     // No Done: this worker dies with the replica; the crash
                     // lifecycle event resets the whole replica's busy count.
-                    self.acc.crash_failovers += 1;
+                    self.report.crash_failovers += 1;
                     DispatchCause::FailoverCrash
                 } else {
                     // The worker frees when the request leaves.
@@ -743,9 +738,7 @@ impl Fleet {
         // log; restart the telemetry cursor so the new log streams from
         // its beginning.
         self.breaker_seen[r] = 0;
-        if let Some(tel) = self.telemetry.clone() {
-            tel.borrow_mut().recover(now, r, corrupt);
-        }
+        self.tel.recover(now, r, corrupt);
         corrupt
     }
 
@@ -790,10 +783,8 @@ impl Fleet {
                     replica: None,
                     detail: tr.to.severity() as f64,
                 });
-                if let Some(tel) = self.telemetry.clone() {
-                    tel.borrow_mut()
-                        .brownout(now, tr.from.name(), tr.to.name(), tr.to.severity());
-                }
+                self.tel
+                    .brownout(now, tr.from.name(), tr.to.name(), tr.to.severity());
             }
         }
 
@@ -824,9 +815,7 @@ impl Fleet {
                             replica: Some(replica),
                             detail: ratio,
                         });
-                        if let Some(tel) = self.telemetry.clone() {
-                            tel.borrow_mut().gray_eject(now, replica, ratio);
-                        }
+                        self.tel.gray_eject(now, replica, ratio);
                     }
                     GrayEvent::Rejoin { replica, .. } => {
                         a.events.push(AdaptEvent {
@@ -835,9 +824,7 @@ impl Fleet {
                             replica: Some(replica),
                             detail: 0.0,
                         });
-                        if let Some(tel) = self.telemetry.clone() {
-                            tel.borrow_mut().gray_rejoin(now, replica);
-                        }
+                        self.tel.gray_rejoin(now, replica);
                     }
                 }
             }
@@ -856,64 +843,40 @@ impl Fleet {
         }
 
         let active = a.active();
-        if let Some(p) = a.autoscale.as_mut() {
-            match p.observe(active, a.pending_up, pressure) {
-                ScaleDecision::Up => {
-                    // Boot the lowest-id reserve replica; the cold start
-                    // is a virtual delay, then Ev::Scale lands it on the
-                    // snapshot-recovery rejoin path.
-                    if let Some(r) = (0..self.replicas.len())
-                        .find(|&r| a.admin_down[r] && !a.booting[r])
-                    {
-                        a.booting[r] = true;
-                        a.pending_up += 1;
-                        a.events.push(AdaptEvent {
-                            at_us: now,
-                            kind: "scale_up_start",
-                            replica: Some(r),
-                            detail: (active + a.pending_up) as f64,
-                        });
-                        self.events.push(now + p.config().cold_start_us, Ev::Scale(r));
-                        if let Some(tel) = self.telemetry.clone() {
-                            tel.borrow_mut().scale(now, r, "scale_up_start", active + a.pending_up);
-                        }
-                    }
+        let decision = a.autoscale.as_mut().map(|p| {
+            (
+                p.observe(active, a.pending_up, pressure),
+                p.config().cold_start_us,
+            )
+        });
+        match decision {
+            Some((ScaleDecision::Up, cold_start_us)) => {
+                // Boot the lowest-id reserve replica; the cold start is a
+                // virtual delay, then Ev::Scale lands it on the
+                // snapshot-recovery rejoin path.
+                if let Some(r) =
+                    (0..self.replicas.len()).find(|&r| a.admin_down[r] && !a.booting[r])
+                {
+                    a.booting[r] = true;
+                    a.pending_up += 1;
+                    a.record_scale(now, r, "scale_up_start", active + a.pending_up, self.tel);
+                    self.events.push(now + cold_start_us, Ev::Scale(r));
                 }
-                ScaleDecision::Down => {
-                    // Drain the highest-id active replica: stop routing
-                    // to it, let its queue finish.
-                    if let Some(r) = (0..self.replicas.len())
-                        .rev()
-                        .find(|&r| !a.admin_down[r] && !a.draining[r])
-                    {
-                        a.draining[r] = true;
-                        a.scale_downs += 1;
-                        a.events.push(AdaptEvent {
-                            at_us: now,
-                            kind: "scale_down_start",
-                            replica: Some(r),
-                            detail: (active - 1) as f64,
-                        });
-                        if let Some(tel) = self.telemetry.clone() {
-                            tel.borrow_mut().scale(now, r, "scale_down_start", active - 1);
-                        }
-                        if self.busy[r] == 0 && self.queues[r].is_empty() {
-                            a.draining[r] = false;
-                            a.admin_down[r] = true;
-                            a.events.push(AdaptEvent {
-                                at_us: now,
-                                kind: "scale_down_done",
-                                replica: Some(r),
-                                detail: (active - 1) as f64,
-                            });
-                            if let Some(tel) = self.telemetry.clone() {
-                                tel.borrow_mut().scale(now, r, "scale_down_done", active - 1);
-                            }
-                        }
-                    }
-                }
-                ScaleDecision::Hold => {}
             }
+            Some((ScaleDecision::Down, _)) => {
+                // Drain the highest-id active replica: stop routing to
+                // it, let its queue finish.
+                if let Some(r) = (0..self.replicas.len())
+                    .rev()
+                    .find(|&r| !a.admin_down[r] && !a.draining[r])
+                {
+                    a.draining[r] = true;
+                    a.scale_downs += 1;
+                    a.record_scale(now, r, "scale_down_start", active - 1, self.tel);
+                    a.finish_drain(r, now, self.idle(r), self.tel);
+                }
+            }
+            _ => {}
         }
         self.adapt = Some(a);
     }
@@ -940,15 +903,13 @@ impl Fleet {
             .breaker
             .get_mut()
             .on_primary_outcome(&integrity_health(elements, 1), now);
-        self.acc.integrity_events.push(AdaptEvent {
+        self.report.integrity_events.push(AdaptEvent {
             at_us: now,
             kind: "quarantine",
             replica: Some(r),
             detail: region as f64,
         });
-        if let Some(tel) = self.telemetry.clone() {
-            tel.borrow_mut().quarantine(now, r, region);
-        }
+        self.tel.quarantine(now, r, region);
         self.events.push(now + words * sc.repair_us_per_word, Ev::Repair(r, region));
     }
 
@@ -973,10 +934,8 @@ impl Fleet {
         let corrected = out.corrected.len() as u64;
         self.replicas[r].stats.scrub_corrected += corrected;
         if corrected > 0 || !out.quarantined.is_empty() {
-            if let Some(tel) = self.telemetry.clone() {
-                tel.borrow_mut()
-                    .scrub(now, r, corrected, out.quarantined.len() as u64);
-            }
+            self.tel
+                .scrub(now, r, corrected, out.quarantined.len() as u64);
         }
         for region in out.quarantined {
             self.on_quarantine(r, region, now);
@@ -1027,16 +986,14 @@ impl Fleet {
             rep.stats.repairs += 1;
             state.shield.regions()[region].words() as u64
         };
-        self.acc.integrity_events.push(AdaptEvent {
+        self.report.integrity_events.push(AdaptEvent {
             at_us: now,
             kind: "repair",
             replica: Some(r),
             detail: region as f64,
         });
-        if let Some(tel) = self.telemetry.clone() {
-            tel.borrow_mut()
-                .repair(now, r, region, words * sc.repair_us_per_word);
-        }
+        self.tel
+            .repair(now, r, region, words * sc.repair_us_per_word);
     }
 
     /// Run the fleet over `requests` (sorted by arrival). Consumes the
@@ -1068,12 +1025,10 @@ impl Fleet {
         }
 
         while let Some((now, ev)) = self.events.pop() {
-            self.acc.end_us = self.acc.end_us.max(now);
+            self.report.end_us = self.report.end_us.max(now);
             match ev {
                 Ev::Arrival(freq) => {
-                    if let Some(tel) = self.telemetry.clone() {
-                        tel.borrow_mut().arrival(now, freq.req.id);
-                    }
+                    self.tel.arrival(now, freq.req.id);
                     // Brownout gate, before the quota book: a rung that
                     // sheds this tier rejects at the door (no quota
                     // churn); a rung that degrades it marks the job for
@@ -1086,7 +1041,7 @@ impl Fleet {
                         .unwrap_or(Brownout::Normal);
                     let tier = PriorityTier::of_user(freq.user);
                     if level.sheds(tier) {
-                        self.acc.brownout_sheds += 1;
+                        self.report.brownout_sheds += 1;
                         let job = Job::new(*freq);
                         self.respond(&job, FleetOutcome::ShedOverload, None, None, now);
                         self.drain_breaker_transitions();
@@ -1113,27 +1068,9 @@ impl Fleet {
                     self.kick(r, now);
                     // A draining replica whose last work just finished
                     // completes its scale-down.
-                    if self.busy[r] == 0 && self.queues[r].is_empty() {
-                        let done = self.adapt.as_mut().and_then(|a| {
-                            if !a.draining[r] {
-                                return None;
-                            }
-                            a.draining[r] = false;
-                            a.admin_down[r] = true;
-                            let active = a.active();
-                            a.events.push(AdaptEvent {
-                                at_us: now,
-                                kind: "scale_down_done",
-                                replica: Some(r),
-                                detail: active as f64,
-                            });
-                            Some(active)
-                        });
-                        if let Some(active) = done {
-                            if let Some(tel) = self.telemetry.clone() {
-                                tel.borrow_mut().scale(now, r, "scale_down_done", active);
-                            }
-                        }
+                    let idle = self.idle(r);
+                    if let Some(a) = self.adapt.as_mut() {
+                        a.finish_drain(r, now, idle, self.tel);
                     }
                 }
                 Ev::Failover(job, cause) => {
@@ -1142,9 +1079,7 @@ impl Fleet {
                 Ev::Lifecycle(r, LifecycleEvent::Crash) => {
                     self.replicas[r].stats.crashes += 1;
                     self.busy[r] = 0;
-                    if let Some(tel) = self.telemetry.clone() {
-                        tel.borrow_mut().crash(now, r);
-                    }
+                    self.tel.crash(now, r);
                     let drained: Vec<Job> = self.queues[r].drain(..).collect();
                     if let Some(t) = trace {
                         t.borrow_mut().instant(
@@ -1160,8 +1095,13 @@ impl Fleet {
                     for mut job in drained {
                         job.excluded.push(r);
                         if self.dispatch_or_shed(job, now, DispatchCause::Requeue) {
-                            self.acc.requeued_on_crash += 1;
+                            self.report.requeued_on_crash += 1;
                         }
+                    }
+                    // A crash empties a draining replica, and no Done will
+                    // ever arrive for it: its scale-down completes now.
+                    if let Some(a) = self.adapt.as_mut() {
+                        a.finish_drain(r, now, true, self.tel);
                     }
                 }
                 Ev::Lifecycle(r, LifecycleEvent::Recover) => {
@@ -1186,24 +1126,8 @@ impl Fleet {
                     // Cold start elapsed: the booted replica joins via
                     // the exact crash-recovery path.
                     self.rejoin(r, now);
-                    let active = self.adapt.as_mut().map(|a| {
-                        a.pending_up = a.pending_up.saturating_sub(1);
-                        a.booting[r] = false;
-                        a.admin_down[r] = false;
-                        a.scale_ups += 1;
-                        let active = a.active();
-                        a.events.push(AdaptEvent {
-                            at_us: now,
-                            kind: "scale_up_done",
-                            replica: Some(r),
-                            detail: active as f64,
-                        });
-                        active
-                    });
-                    if let Some(active) = active {
-                        if let Some(tel) = self.telemetry.clone() {
-                            tel.borrow_mut().scale(now, r, "scale_up_done", active);
-                        }
+                    if let Some(a) = self.adapt.as_mut() {
+                        a.finish_boot(r, now, self.tel);
                     }
                 }
                 Ev::AdaptTick => {
@@ -1232,9 +1156,7 @@ impl Fleet {
                             let snap = self.replicas[id].snapshot();
                             if self.store.save(id, &snap).is_ok() {
                                 self.replicas[id].stats.snapshot_saves += 1;
-                                if let Some(tel) = self.telemetry.clone() {
-                                    tel.borrow_mut().snapshot_save(now, id);
-                                }
+                                self.tel.snapshot_save(now, id);
                             }
                         }
                     }
@@ -1247,27 +1169,35 @@ impl Fleet {
             self.drain_breaker_transitions();
         }
 
-        let mut acc = std::mem::take(&mut self.acc);
-        acc.responses.sort_by_key(|r| r.id);
-        let adapt = self.adapt.take();
-        let (codel_drops, gray_ejections, scale_ups, scale_downs, brownout_peak, adapt_events) =
-            match adapt {
-                Some(a) => (
-                    a.codel.as_ref().map(|c| c.drops()).unwrap_or(0),
-                    a.gray.as_ref().map(|g| g.ejections()).unwrap_or(0),
-                    a.scale_ups,
-                    a.scale_downs,
-                    a.ladder
-                        .as_ref()
-                        .map(|l| l.peak())
-                        .unwrap_or(Brownout::Normal)
-                        .name()
-                        .to_string(),
-                    a.events,
-                ),
-                None => (0, 0, 0, 0, Brownout::Normal.name().to_string(), Vec::new()),
-            };
-        let replicas: Vec<ReplicaReport> = self
+        // What only exists at the end: replica sections, denials, the
+        // adaptive plane's totals, and sums over the replica counters.
+        let mut report = std::mem::take(&mut self.report);
+        report.responses.sort_by_key(|r| r.id);
+        report.policy = self.cfg.policy.name().to_string();
+        report.offered = requests.len() as u64;
+        report.tenant_denials = self.book.denials().collect();
+        let ladder = self.adapt.as_ref().and_then(|a| a.ladder.as_ref());
+        report.brownout_peak = ladder
+            .map_or(Brownout::Normal, |l| l.peak())
+            .name()
+            .to_string();
+        if let Some(a) = self.adapt.take() {
+            report.codel_drops = a.codel.as_ref().map_or(0, |c| c.drops());
+            report.gray_ejections = a.gray.as_ref().map_or(0, |g| g.ejections());
+            report.scale_ups = a.scale_ups;
+            report.scale_downs = a.scale_downs;
+            report.adapt_events = a.events;
+        }
+        let sum = |f: fn(&ReplicaStats) -> u64| self.replicas.iter().map(|r| f(&r.stats)).sum();
+        report.flagged_attempts = sum(|s| s.flagged_attempts);
+        report.bits_flipped = sum(|s| s.bits_flipped);
+        report.storage_flips = sum(|s| s.storage_flips);
+        report.scrub_corrected = sum(|s| s.scrub_corrected);
+        report.read_corrected = sum(|s| s.read_corrected);
+        report.scrub_uncorrectable = sum(|s| s.scrub_uncorrectable);
+        report.quarantines = sum(|s| s.quarantines);
+        report.repairs = sum(|s| s.repairs);
+        report.replicas = self
             .replicas
             .iter()
             .map(|r| ReplicaReport {
@@ -1279,48 +1209,6 @@ impl Fleet {
                 final_breaker: r.breaker_state(),
             })
             .collect();
-        let sum = |f: fn(&crate::replica::ReplicaStats) -> u64| {
-            self.replicas.iter().map(|r| f(&r.stats)).sum::<u64>()
-        };
-        let report = FleetReport {
-            policy: self.cfg.policy.name().to_string(),
-            storage_flips: sum(|s| s.storage_flips),
-            scrub_corrected: sum(|s| s.scrub_corrected),
-            read_corrected: sum(|s| s.read_corrected),
-            scrub_uncorrectable: sum(|s| s.scrub_uncorrectable),
-            quarantines: sum(|s| s.quarantines),
-            repairs: sum(|s| s.repairs),
-            integrity_events: acc.integrity_events,
-            offered: requests.len() as u64,
-            served_primary: acc.served_primary,
-            served_degraded: acc.served_degraded,
-            shed_queue_full: acc.shed_queue_full,
-            shed_quota: acc.shed_quota,
-            shed_no_replica: acc.shed_no_replica,
-            shed_overload: acc.shed_overload,
-            deadline_miss: acc.deadline_miss,
-            failovers: acc.failovers,
-            crash_failovers: acc.crash_failovers,
-            hedges: acc.hedges,
-            requeued_on_crash: acc.requeued_on_crash,
-            flagged_attempts: acc.flagged_attempts,
-            bits_flipped: acc.bits_flipped,
-            tenant_denials: self.book.denials().collect(),
-            latency: acc.latency,
-            queue_wait: acc.queue_wait,
-            replicas,
-            end_us: acc.end_us,
-            dispatches: acc.dispatches,
-            responses: acc.responses,
-            codel_drops,
-            brownout_sheds: acc.brownout_sheds,
-            economy_served: acc.economy_served,
-            gray_ejections,
-            scale_ups,
-            scale_downs,
-            brownout_peak,
-            adapt_events,
-        };
 
         if let Some(t) = trace {
             let mut s = t.borrow_mut();
@@ -1393,7 +1281,9 @@ impl Fleet {
     }
 }
 
-/// Convenience one-shot: build a [`Fleet`] and run it.
+/// Convenience one-shot: build a [`Fleet`] and run it, reporting every
+/// event into `tel` (live time-series, SLO burn-rate evaluation, request
+/// span trees, flight recorders).
 pub fn run_fleet(
     model: &Model,
     cfg: &FleetConfig,
@@ -1401,28 +1291,9 @@ pub fn run_fleet(
     faults: Vec<Box<dyn FaultSource + Send + Sync>>,
     store: Box<dyn SnapStore>,
     trace: Option<&TraceHandle>,
+    tel: &mut TelemetrySink,
 ) -> FleetReport {
-    Fleet::new(model, cfg.clone(), faults, store).run(requests, trace)
-}
-
-/// [`run_fleet`] with a telemetry plane attached: identical event loop
-/// and report, plus live time-series, SLO burn-rate evaluation, request
-/// span trees, and flight recorders accumulating in `telemetry`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_observed(
-    model: &Model,
-    cfg: &FleetConfig,
-    requests: &[FleetRequest],
-    faults: Vec<Box<dyn FaultSource + Send + Sync>>,
-    store: Box<dyn SnapStore>,
-    trace: Option<&TraceHandle>,
-    telemetry: Option<&TelemetryHandle>,
-) -> FleetReport {
-    let mut fleet = Fleet::new(model, cfg.clone(), faults, store);
-    if let Some(tel) = telemetry {
-        fleet = fleet.with_telemetry(tel.clone());
-    }
-    fleet.run(requests, trace)
+    Fleet::new(model, cfg.clone(), faults, store, tel).run(requests, trace)
 }
 
 /// Replay audit: re-execute the *final* attempt of every served-primary
@@ -1441,20 +1312,8 @@ pub fn audit_unflagged_corruption(
     faults: Vec<Box<dyn FaultSource + Send + Sync>>,
     report: &FleetReport,
 ) -> u64 {
-    let cfg = cfg.clone().normalized();
-    let mut faults = faults;
-    while faults.len() < cfg.replicas.len() {
-        faults.push(Box::new(NoFaults));
-    }
-    faults.truncate(cfg.replicas.len());
-    let replicas: Vec<Replica> = cfg
-        .replicas
-        .iter()
-        .cloned()
-        .zip(faults)
-        .enumerate()
-        .map(|(id, (spec, fault))| Replica::new(id, model.clone(), spec, fault, cfg.retry_seed))
-        .collect();
+    // No shields: the replay judges the fault environment alone.
+    let replicas = build_replicas(model, &cfg.clone().normalized(), faults);
     let by_id: std::collections::BTreeMap<u64, &FleetRequest> =
         requests.iter().map(|r| (r.req.id, r)).collect();
     let mut bad = 0u64;
@@ -1484,8 +1343,14 @@ mod tests {
     use crate::router::RouterPolicy;
     use qt_quant::ElemFormat;
     use qt_robust::{BerFaultSource, CodeFormat, CrashSchedule};
+    use qt_telemetry::TelemetryConfig;
     use qt_transformer::{TaskHead, TransformerConfig};
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// A default-config sink for runs whose telemetry the test ignores.
+    fn sink(replicas: usize) -> TelemetrySink {
+        TelemetrySink::new(TelemetryConfig::default(), replicas)
+    }
 
     fn tiny_model() -> Model {
         let mut rng = StdRng::seed_from_u64(11);
@@ -1520,6 +1385,7 @@ mod tests {
             Vec::new(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert_eq!(report.served_primary, report.offered);
@@ -1560,6 +1426,7 @@ mod tests {
             Vec::new(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert!(report.crash_failovers >= 1, "in-flight work failed over");
@@ -1600,6 +1467,7 @@ mod tests {
             faults,
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert!(report.failovers >= 1, "corrupt replica pushed work away");
@@ -1648,6 +1516,7 @@ mod tests {
             Vec::new(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert_eq!(report.shed_quota, 4, "6 offered, 2 outstanding allowed");
@@ -1690,6 +1559,7 @@ mod tests {
             Vec::new(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert!(report.brownout_sheds > 0, "ladder must shed: {report:?}");
@@ -1752,6 +1622,7 @@ mod tests {
             Vec::new(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert!(report.codel_drops > 0, "standing queue must shed: {report:?}");
@@ -1803,6 +1674,7 @@ mod tests {
             Vec::new(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
         assert!(report.scale_ups >= 1, "burst must boot: {:?}", report.adapt_events);
@@ -1843,8 +1715,80 @@ mod tests {
     }
 
     #[test]
+    fn draining_replica_that_crashes_finishes_its_drain() {
+        let model = tiny_model();
+        let pass = model.blocks_per_forward() * ReplicaSpec::BASE_BLOCK_US;
+        let cfg = |crash_at: Option<u64>| {
+            let mut cfg = FleetConfig {
+                replicas: vec![ReplicaSpec::new(ElemFormat::P8E1); 2],
+                adapt_every_us: 2 * pass,
+                autoscale: Some(qt_adapt::AutoscaleConfig {
+                    min_replicas: 1,
+                    max_replicas: 2,
+                    up_consecutive: 1,
+                    down_consecutive: 2,
+                    cold_start_us: pass,
+                    ..qt_adapt::AutoscaleConfig::default()
+                }),
+                ..FleetConfig::default()
+            };
+            if let Some(at) = crash_at {
+                cfg.replicas[1] = ReplicaSpec::new(ElemFormat::P8E1)
+                    .with_crashes(CrashSchedule::single(at, 3 * pass));
+            }
+            cfg
+        };
+        // Two bursts 200 passes apart: the first boots replica 1, the
+        // calm drains it, the second must boot it again.
+        let reqs = FleetLoadSpec {
+            rps: 0.8 * 1e6 / pass as f64,
+            duration_us: 260 * pass,
+            shape: ArrivalShape::Bursty {
+                burst_len_us: 15 * pass,
+                burst_mult: 2.5,
+            },
+            period_us: 200 * pass,
+            deadline_us: 0,
+            ..FleetLoadSpec::default()
+        }
+        .requests(model.cfg.vocab);
+        let run = |cfg: &FleetConfig| {
+            let store = Box::new(MemSnapStore::new());
+            run_fleet(&model, cfg, &reqs, Vec::new(), store, None, &mut sink(2))
+        };
+        let first = |r: &FleetReport, kind: &str| {
+            r.adapt_events
+                .iter()
+                .find(|e| e.kind == kind)
+                .map(|e| (e.at_us, e.replica))
+        };
+        let calm = run(&cfg(None));
+        let (start, _) = first(&calm, "scale_down_start").unwrap();
+        let (done, _) = first(&calm, "scale_down_done").unwrap();
+        assert!(
+            done > start,
+            "replica 1 still had work when its drain began"
+        );
+        assert_eq!(calm.scale_ups, 2, "{:?}", calm.adapt_events);
+        // Crash replica 1 mid-drain: no Done will ever arrive for it.
+        let crash_at = start + (done - start) / 2;
+        let report = run(&cfg(Some(crash_at)));
+        assert!(report.reconciles(), "{report:?}");
+        assert_eq!(first(&report, "scale_down_start"), Some((start, Some(1))));
+        assert_eq!(first(&report, "scale_down_done"), Some((crash_at, Some(1))));
+        assert_eq!(report.scale_ups, 2, "{:?}", report.adapt_events);
+        assert!(
+            report
+                .dispatches
+                .iter()
+                .any(|d| d.replica == 1 && d.at_us > crash_at),
+            "replica 1 takes traffic again after its second boot"
+        );
+    }
+
+    #[test]
     fn observed_run_agrees_with_report() {
-        use qt_telemetry::{Scope, TelemetryConfig, TelemetrySink};
+        use qt_telemetry::{Scope, SloSpec};
         let model = tiny_model();
         let pass = model.blocks_per_forward() * ReplicaSpec::BASE_BLOCK_US;
         let mut cfg = FleetConfig {
@@ -1862,15 +1806,10 @@ mod tests {
             ..FleetLoadSpec::default()
         }
         .requests(model.cfg.vocab);
-        let baseline = run_fleet(
-            &model,
-            &cfg,
-            &reqs,
-            Vec::new(),
-            Box::new(MemSnapStore::new()),
-            None,
-        );
-        let tel = TelemetrySink::handle(
+        // Two sinks that differ in every knob that could plausibly leak
+        // back into the run: window width and retention, request
+        // tracing, flight-ring size, objectives and seed.
+        let mut tel = TelemetrySink::new(
             TelemetryConfig {
                 interval_us: pass,
                 seed: cfg.retry_seed,
@@ -1878,18 +1817,26 @@ mod tests {
             },
             cfg.replicas.len(),
         );
-        let observed = run_fleet_observed(
-            &model,
-            &cfg,
-            &reqs,
-            Vec::new(),
-            Box::new(MemSnapStore::new()),
-            None,
-            Some(&tel),
+        let mut other = TelemetrySink::new(
+            TelemetryConfig {
+                interval_us: 7 * pass + 3,
+                retain_windows: 2,
+                slos: vec![SloSpec::latency_p99(0.5, pass)],
+                flight_capacity: 1,
+                trace_requests: false,
+                seed: 99,
+                ..TelemetryConfig::default()
+            },
+            cfg.replicas.len(),
         );
-        // Observation changes nothing about the run itself.
-        assert_eq!(baseline, observed);
-        let sink = tel.borrow();
+        let run = |tel: &mut TelemetrySink| {
+            let store = Box::new(MemSnapStore::new());
+            run_fleet(&model, &cfg, &reqs, Vec::new(), store, None, tel)
+        };
+        let observed = run(&mut tel);
+        // The telemetry config changes nothing about the run itself.
+        assert_eq!(observed, run(&mut other));
+        let sink = &tel;
         // Counters reconcile with the report.
         assert_eq!(
             sink.series_get(Scope::Fleet, "arrivals")
@@ -1961,6 +1908,7 @@ mod tests {
                 Vec::new(),
                 Box::new(MemSnapStore::new()),
                 None,
+                &mut sink(cfg.replicas.len()),
             )
         };
         let a = mk();
@@ -1999,11 +1947,13 @@ mod tests {
             ..FleetConfig::default()
         };
         let reqs = light_load(&model, 3, 12);
+        let mut tel = sink(1);
         let mut fleet = Fleet::new(
             &model,
             cfg.clone(),
             Vec::new(),
             Box::new(MemSnapStore::new()),
+            &mut tel,
         );
         // Scripted double-bit rot in region 0 before any service: the
         // first read-path verification must quarantine it.
@@ -2073,6 +2023,7 @@ mod tests {
                 faults,
                 Box::new(MemSnapStore::new()),
                 None,
+                &mut sink(cfg.replicas.len()),
             )
         };
         let a = mk();

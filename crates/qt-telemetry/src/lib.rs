@@ -26,10 +26,10 @@
 //!   telemetry events per replica, dumped atomically (qt-ckpt) on crash
 //!   or breaker-open for post-mortem analysis.
 //!
-//! Producers hold an `Option<`[`TelemetryHandle`]`>` exactly like the
-//! qt-trace pattern: when it is `None`, the hot path emits nothing.
-//! [`report::telemetry_report`] turns a finished sink into the
-//! deterministic `BENCH_telemetry.json` scoreboard.
+//! Every fleet run reports into a [`TelemetrySink`] it borrows mutably.
+//! The sink only listens, so a run's report is independent of the
+//! telemetry config. [`report::telemetry_report`] turns a finished sink
+//! into the deterministic `BENCH_telemetry.json` scoreboard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +45,5 @@ pub use flight::{FlightDump, FlightEvent, FlightRecorder};
 pub use report::{alerts_jsonl, export_to_trace, telemetry_report, timeseries_jsonl};
 pub use reqtrace::{RequestTrace, SpanRec, TraceBook, TraceId};
 pub use series::{Scope, SeriesKind, SeriesSet, WindowedSeries};
-pub use sink::{TelemetryConfig, TelemetryHandle, TelemetrySink};
+pub use sink::{TelemetryConfig, TelemetrySink};
 pub use slo::{AlertEvent, BurnRule, SloEngine, SloKind, SloSpec, SloTracker};

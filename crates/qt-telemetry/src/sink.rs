@@ -9,18 +9,17 @@
 //! updates every SLO, lands in the replica's flight ring, and closes
 //! the request's trace.
 //!
-//! Producers hold an `Option<&`[`TelemetryHandle`]`>` — the qt-trace
-//! pattern — so a `None` sink costs nothing on the hot path. All
-//! timestamps are virtual µs; the sink records no wall-clock data, so
-//! everything it exports is byte-identical at any `QT_THREADS`.
+//! A fleet run always reports into one sink, borrowed mutably for the
+//! run. The sink only listens: nothing it records feeds back into the
+//! run. All timestamps are virtual µs; the sink records no wall-clock
+//! data, so everything it exports is byte-identical at any
+//! `QT_THREADS`.
 
 use crate::flight::{FlightDump, FlightRecorder};
 use crate::reqtrace::{TraceBook, TraceId};
 use crate::series::{Scope, SeriesSet, WindowedSeries};
 use crate::slo::{AlertEvent, SloEngine, SloSpec};
-use std::cell::RefCell;
 use std::path::PathBuf;
-use std::rc::Rc;
 
 /// How a sink is put together.
 #[derive(Debug, Clone)]
@@ -55,10 +54,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Shared handle to a sink (single-threaded interior mutability, the
-/// same shape as `qt_trace::TraceHandle`).
-pub type TelemetryHandle = Rc<RefCell<TelemetrySink>>;
-
 /// The telemetry plane of one run.
 #[derive(Debug)]
 pub struct TelemetrySink {
@@ -88,11 +83,6 @@ impl TelemetrySink {
             book,
             latest_us: 0,
         }
-    }
-
-    /// `new` wrapped in a [`TelemetryHandle`].
-    pub fn handle(cfg: TelemetryConfig, replicas: usize) -> TelemetryHandle {
-        Rc::new(RefCell::new(Self::new(cfg, replicas)))
     }
 
     /// The config the sink was built with.

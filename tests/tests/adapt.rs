@@ -24,6 +24,7 @@ use qt_fleet::{
 };
 use qt_quant::ElemFormat;
 use qt_robust::{BerFaultSource, CodeFormat, FaultSource, NoFaults};
+use qt_telemetry::{TelemetryConfig, TelemetrySink};
 use qt_transformer::{Model, TaskHead, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -120,6 +121,7 @@ fn gray_run(slow: bool) -> FleetReport {
         no_faults(3),
         Box::new(MemSnapStore::new()),
         None,
+        &mut TelemetrySink::new(TelemetryConfig::default(), 3),
     )
 }
 
@@ -231,6 +233,7 @@ fn adaptive_surface_is_byte_identical_across_thread_pools() {
                 no_faults(3),
                 Box::new(MemSnapStore::new()),
                 None,
+                &mut TelemetrySink::new(TelemetryConfig::default(), 3),
             );
             assert!(report.reconciles());
             serde_json::to_string(&report.to_json()).expect("serializable")
@@ -294,6 +297,7 @@ fn brownout_beats_baseline_shedding_for_paid_tier_under_overload() {
             faults(),
             Box::new(MemSnapStore::new()),
             None,
+            &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
         );
         assert!(report.reconciles());
         assert_eq!(

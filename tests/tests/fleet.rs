@@ -23,6 +23,7 @@ use qt_fleet::{
 use qt_quant::ElemFormat;
 use qt_robust::{BerFaultSource, CodeFormat, CrashSchedule, FaultSource, NoFaults};
 use qt_serve::BreakerState;
+use qt_telemetry::{TelemetryConfig, TelemetrySink};
 use qt_transformer::{Model, TaskHead, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -92,6 +93,7 @@ fn chaos_run(policy: RouterPolicy, seed: u64, rps_passes: f64, passes: u64) -> F
         chaos_faults(2e-3),
         Box::new(MemSnapStore::new()),
         None,
+        &mut TelemetrySink::new(TelemetryConfig::default(), 3),
     )
 }
 
@@ -126,6 +128,7 @@ fn crash_under_corruption_fails_over_recovers_and_replays_clean() {
         chaos_faults(2e-3),
         Box::new(MemSnapStore::new()),
         None,
+        &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
     );
     assert!(report.reconciles(), "counters reconcile to offered load");
     assert!(
@@ -320,6 +323,7 @@ fn cached_gray_run(seed: u64) -> std::sync::Arc<FleetReport> {
                 ],
                 Box::new(MemSnapStore::new()),
                 None,
+                &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
             ))
         })
         .clone()

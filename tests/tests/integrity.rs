@@ -25,6 +25,7 @@ use qt_quant::ElemFormat;
 use qt_robust::{FaultSource, NoFaults};
 use qt_serve::{pristine_codes, shield_model};
 use qt_shield::{decode, encode, flip, Decode, CODE_BITS};
+use qt_telemetry::{TelemetryConfig, TelemetrySink};
 use qt_transformer::{Model, TaskHead, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -194,6 +195,7 @@ fn rot_run(ber: f64, seed: u64) -> (FleetConfig, Vec<qt_fleet::FleetRequest>, Fl
         no_faults(2),
         Box::new(MemSnapStore::new()),
         None,
+        &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
     );
     (cfg, reqs, report)
 }

@@ -20,14 +20,13 @@
 
 use proptest::prelude::*;
 use qt_fleet::{
-    run_fleet_observed, ArrivalShape, FleetConfig, FleetLoadSpec, MemSnapStore, ReplicaSpec,
-    RouterPolicy,
+    run_fleet, ArrivalShape, FleetConfig, FleetLoadSpec, MemSnapStore, ReplicaSpec, RouterPolicy,
 };
 use qt_quant::ElemFormat;
 use qt_robust::{BerFaultSource, CodeFormat, CrashSchedule, FaultSource, NoFaults};
 use qt_telemetry::{
-    alerts_jsonl, telemetry_report, timeseries_jsonl, FlightRecorder, Scope, SeriesKind,
-    SloSpec, TelemetryConfig, TelemetryHandle, TelemetrySink, WindowedSeries,
+    alerts_jsonl, telemetry_report, timeseries_jsonl, FlightRecorder, Scope, SeriesKind, SloSpec,
+    TelemetryConfig, TelemetrySink, WindowedSeries,
 };
 use qt_transformer::{Model, TaskHead, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
@@ -93,8 +92,8 @@ fn chaos_load(seed: u64, rps_passes: f64, passes: u64) -> Vec<qt_fleet::FleetReq
 /// A telemetry sink tuned for the short chaos horizon: 10 ms windows
 /// and burn-rate windows shrunk by 1e-4 so the fast rule spans ~30 ms
 /// of virtual time. No flight directory — dumps stay in memory.
-fn chaos_sink(flight_cap: usize) -> TelemetryHandle {
-    TelemetrySink::handle(
+fn chaos_sink(flight_cap: usize) -> TelemetrySink {
+    TelemetrySink::new(
         TelemetryConfig {
             interval_us: 10_000,
             slos: vec![SloSpec::availability(0.999).with_window_scale(1e-4)],
@@ -106,18 +105,18 @@ fn chaos_sink(flight_cap: usize) -> TelemetryHandle {
     )
 }
 
-fn observed_chaos_run(seed: u64, flight_cap: usize) -> (qt_fleet::FleetReport, TelemetryHandle) {
-    let tel = chaos_sink(flight_cap);
-    let report = run_fleet_observed(
+fn observed_chaos_run(seed: u64, flight_cap: usize) -> (qt_fleet::FleetReport, TelemetrySink) {
+    let mut sink = chaos_sink(flight_cap);
+    let report = run_fleet(
         &tiny_model(),
         &chaos_config(),
         &chaos_load(seed, 2.0, 24),
         chaos_faults(),
         Box::new(MemSnapStore::new()),
         None,
-        Some(&tel),
+        &mut sink,
     );
-    (report, tel)
+    (report, sink)
 }
 
 /// The tentpole determinism claim for the observability plane: the
@@ -127,8 +126,7 @@ fn observed_chaos_run(seed: u64, flight_cap: usize) -> (qt_fleet::FleetReport, T
 fn telemetry_artifacts_are_byte_identical_across_thread_pools() {
     let run = |threads: usize| {
         qt_par::with_threads(threads, || {
-            let (report, tel) = observed_chaos_run(77, 64);
-            let sink = tel.borrow();
+            let (report, sink) = observed_chaos_run(77, 64);
             (
                 serde_json::to_string(&report.to_json()).expect("serializable"),
                 serde_json::to_string(&telemetry_report(&sink)).expect("serializable"),
@@ -155,9 +153,8 @@ fn telemetry_artifacts_are_byte_identical_across_thread_pools() {
 /// tree, and the fleet-level counters must reconcile with the report.
 #[test]
 fn chaos_run_closes_every_span_tree_and_reconciles_counters() {
-    let (report, tel) = observed_chaos_run(13, 64);
+    let (report, sink) = observed_chaos_run(13, 64);
     assert!(report.reconciles());
-    let sink = tel.borrow();
 
     let book = sink.book();
     assert_eq!(
@@ -294,8 +291,7 @@ proptest! {
 /// reports truncation in its dumps.
 #[test]
 fn fleet_flight_recorders_stay_bounded() {
-    let (_report, tel) = observed_chaos_run(5, 4);
-    let sink = tel.borrow();
+    let (_report, sink) = observed_chaos_run(5, 4);
     for rec in sink.recorders() {
         assert!(rec.len() <= 4);
     }
