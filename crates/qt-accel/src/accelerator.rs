@@ -159,14 +159,12 @@ impl Accelerator {
         let codecs = if self.datapath == Datapath::Posit8 {
             let c = PositCodec::p8();
             // decoders on both operand edges, encoders on the output edge
-            let gates =
-                2.0 * n * c.decoder_gates() + n * c.encoder_gates();
+            let gates = 2.0 * n * c.decoder_gates() + n * c.encoder_gates();
             synthesize(gates, tech, point)
         } else {
             AreaPower::default()
         };
-        let sram_bits =
-            (self.weight_buf_kib + self.act_buf_kib + self.acc_buf_kib) * 1024 * 8;
+        let sram_bits = (self.weight_buf_kib + self.act_buf_kib + self.acc_buf_kib) * 1024 * 8;
         let sram = sram(sram_bits, tech, point);
         // Shared infrastructure: sequencer, DMA, NoC — identical across
         // datapaths.
@@ -198,7 +196,9 @@ mod tests {
         let mut fp8_sum = 0.0;
         for n in [8u32, 16, 32] {
             let bf = Accelerator::new(n, Datapath::Bf16).synth(&tech, pt).total();
-            let p8 = Accelerator::new(n, Datapath::Posit8).synth(&tech, pt).total();
+            let p8 = Accelerator::new(n, Datapath::Posit8)
+                .synth(&tech, pt)
+                .total();
             let fp8 = Accelerator::new(n, Datapath::HybridFp8)
                 .synth(&tech, pt)
                 .total();
@@ -243,10 +243,15 @@ mod tests {
     #[test]
     fn e5m2_smallest_array() {
         let (tech, pt) = nominal();
-        let areas: Vec<f64> = [Datapath::E5M2, Datapath::E4M3, Datapath::HybridFp8, Datapath::Posit8]
-            .iter()
-            .map(|&d| Accelerator::new(8, d).synth(&tech, pt).array.area_mm2)
-            .collect();
+        let areas: Vec<f64> = [
+            Datapath::E5M2,
+            Datapath::E4M3,
+            Datapath::HybridFp8,
+            Datapath::Posit8,
+        ]
+        .iter()
+        .map(|&d| Accelerator::new(8, d).synth(&tech, pt).array.area_mm2)
+        .collect();
         for w in areas.windows(2) {
             assert!(w[0] <= w[1], "{areas:?}");
         }
@@ -269,9 +274,15 @@ mod tests {
     #[test]
     fn scales_with_array_size() {
         let (tech, pt) = nominal();
-        let a8 = Accelerator::new(8, Datapath::Posit8).synth(&tech, pt).total();
-        let a16 = Accelerator::new(16, Datapath::Posit8).synth(&tech, pt).total();
-        let a32 = Accelerator::new(32, Datapath::Posit8).synth(&tech, pt).total();
+        let a8 = Accelerator::new(8, Datapath::Posit8)
+            .synth(&tech, pt)
+            .total();
+        let a16 = Accelerator::new(16, Datapath::Posit8)
+            .synth(&tech, pt)
+            .total();
+        let a32 = Accelerator::new(32, Datapath::Posit8)
+            .synth(&tech, pt)
+            .total();
         assert!(a16.area_mm2 > 1.8 * a8.area_mm2);
         assert!(a32.area_mm2 > 1.8 * a16.area_mm2);
     }

@@ -176,8 +176,22 @@ mod tests {
     #[test]
     fn synthesis_pressure_grows_area_and_power() {
         let tech = Tech40::default();
-        let slow = synthesize(1000.0, &tech, SynthesisPoint { freq_mhz: 100.0, fmax_mhz: 800.0 });
-        let fast = synthesize(1000.0, &tech, SynthesisPoint { freq_mhz: 600.0, fmax_mhz: 800.0 });
+        let slow = synthesize(
+            1000.0,
+            &tech,
+            SynthesisPoint {
+                freq_mhz: 100.0,
+                fmax_mhz: 800.0,
+            },
+        );
+        let fast = synthesize(
+            1000.0,
+            &tech,
+            SynthesisPoint {
+                freq_mhz: 600.0,
+                fmax_mhz: 800.0,
+            },
+        );
         assert!(fast.area_mm2 > slow.area_mm2);
         assert!(fast.power_mw > 5.0 * slow.power_mw); // ~6x freq + pressure
     }
@@ -203,8 +217,22 @@ mod tests {
     #[test]
     fn sram_area_constant_over_frequency() {
         let tech = Tech40::default();
-        let a = sram(1 << 20, &tech, SynthesisPoint { freq_mhz: 100.0, fmax_mhz: 800.0 });
-        let b = sram(1 << 20, &tech, SynthesisPoint { freq_mhz: 400.0, fmax_mhz: 800.0 });
+        let a = sram(
+            1 << 20,
+            &tech,
+            SynthesisPoint {
+                freq_mhz: 100.0,
+                fmax_mhz: 800.0,
+            },
+        );
+        let b = sram(
+            1 << 20,
+            &tech,
+            SynthesisPoint {
+                freq_mhz: 400.0,
+                fmax_mhz: 800.0,
+            },
+        );
         assert_eq!(a.area_mm2, b.area_mm2);
         assert!(b.power_mw > a.power_mw);
         // 1 Mbit at 0.45 μm²/bit ≈ 0.47 mm²
@@ -213,8 +241,14 @@ mod tests {
 
     #[test]
     fn area_power_arithmetic() {
-        let x = AreaPower { area_mm2: 1.0, power_mw: 2.0 };
-        let y = AreaPower { area_mm2: 0.5, power_mw: 1.0 };
+        let x = AreaPower {
+            area_mm2: 1.0,
+            power_mw: 2.0,
+        };
+        let y = AreaPower {
+            area_mm2: 0.5,
+            power_mw: 1.0,
+        };
         let s = x.plus(y).times(2.0);
         assert_eq!(s.area_mm2, 3.0);
         assert_eq!(s.power_mw, 6.0);

@@ -22,7 +22,7 @@ pub mod memory;
 pub mod sim;
 pub mod units;
 
-pub use accelerator::{Accelerator, AccelReport, Datapath};
+pub use accelerator::{AccelReport, Accelerator, Datapath};
 pub use cost::{AreaPower, SynthesisPoint, Tech40};
 pub use memory::{FinetuneMemoryModel, MemoryBreakdown};
 pub use sim::{GemmStats, SramFaultModel, SystolicSim, VectorOp, VectorStats};

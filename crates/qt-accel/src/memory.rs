@@ -91,7 +91,11 @@ pub struct FinetuneMemoryModel {
 impl FinetuneMemoryModel {
     /// Model with the paper's Figure 14 setup: sequence 128, batch 16,
     /// AdamW.
-    pub fn figure14(cfg: TransformerConfig, precision: Precision, lora: Option<LoraConfig>) -> Self {
+    pub fn figure14(
+        cfg: TransformerConfig,
+        precision: Precision,
+        lora: Option<LoraConfig>,
+    ) -> Self {
         Self {
             cfg,
             batch: 16,
@@ -221,10 +225,9 @@ mod tests {
         let baseline = FinetuneMemoryModel::figure14(cfg(), Precision::bf16(), None)
             .breakdown()
             .total();
-        let compressed =
-            FinetuneMemoryModel::figure14(cfg(), Precision::eight_bit(), Some(lora()))
-                .breakdown()
-                .total();
+        let compressed = FinetuneMemoryModel::figure14(cfg(), Precision::eight_bit(), Some(lora()))
+            .breakdown()
+            .total();
         let factor = baseline as f64 / compressed as f64;
         assert!((2.0..=4.5).contains(&factor), "reduction factor {factor}");
     }

@@ -216,24 +216,20 @@ impl SystolicSim {
         len: u64,
     ) -> VectorStats {
         let stats = self.vector(op, len);
-        trace.borrow_mut().vector(site, stats.cycles, stats.elements);
+        trace
+            .borrow_mut()
+            .vector(site, stats.cycles, stats.elements);
         stats
     }
 
     /// Energy (nJ) of a GEMM at an operating point: cycles × array power,
     /// plus SRAM access energy.
-    pub fn gemm_energy_nj(
-        &self,
-        stats: &GemmStats,
-        tech: &Tech40,
-        point: SynthesisPoint,
-    ) -> f64 {
+    pub fn gemm_energy_nj(&self, stats: &GemmStats, tech: &Tech40, point: SynthesisPoint) -> f64 {
         let report = self.accel.synth(tech, point);
         let secs = stats.cycles as f64 / (point.freq_mhz * 1e6);
         let compute = report.array.power_mw * 1e-3 * secs * 1e9; // nJ
-        // SRAM access energy proxy: 0.02 nJ per 8 bytes at 40 nm
-        let traffic =
-            (stats.sram_read_bytes + stats.sram_write_bytes) as f64 / 8.0 * 0.02;
+                                                                 // SRAM access energy proxy: 0.02 nJ per 8 bytes at 40 nm
+        let traffic = (stats.sram_read_bytes + stats.sram_write_bytes) as f64 / 8.0 * 0.02;
         compute + traffic
     }
 }

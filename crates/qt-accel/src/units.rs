@@ -24,27 +24,52 @@ pub struct MacUnit {
 impl MacUnit {
     /// BF16 MAC with FP32 accumulation.
     pub fn bf16() -> Self {
-        Self { op_exp: 8, op_man: 7, acc_exp: 8, acc_man: 23 }
+        Self {
+            op_exp: 8,
+            op_man: 7,
+            acc_exp: 8,
+            acc_man: 23,
+        }
     }
 
     /// Posit8 MAC: decoded E5M4 operands, BF16 accumulation.
     pub fn posit8() -> Self {
-        Self { op_exp: 5, op_man: 4, acc_exp: 8, acc_man: 7 }
+        Self {
+            op_exp: 5,
+            op_man: 4,
+            acc_exp: 8,
+            acc_man: 7,
+        }
     }
 
     /// Hybrid FP8 (E5M3 superset of E4M3/E5M2), BF16 accumulation.
     pub fn hybrid_fp8() -> Self {
-        Self { op_exp: 5, op_man: 3, acc_exp: 8, acc_man: 7 }
+        Self {
+            op_exp: 5,
+            op_man: 3,
+            acc_exp: 8,
+            acc_man: 7,
+        }
     }
 
     /// E4M3-only MAC.
     pub fn e4m3() -> Self {
-        Self { op_exp: 4, op_man: 3, acc_exp: 8, acc_man: 7 }
+        Self {
+            op_exp: 4,
+            op_man: 3,
+            acc_exp: 8,
+            acc_man: 7,
+        }
     }
 
     /// E5M2-only MAC.
     pub fn e5m2() -> Self {
-        Self { op_exp: 5, op_man: 2, acc_exp: 8, acc_man: 7 }
+        Self {
+            op_exp: 5,
+            op_man: 2,
+            acc_exp: 8,
+            acc_man: 7,
+        }
     }
 
     /// NAND2-equivalent gate count.
@@ -148,22 +173,30 @@ pub struct ExpUnit {
 impl ExpUnit {
     /// Exact BF16 unit.
     pub fn bf16_exact() -> Self {
-        Self { kind: ExpUnitKind::ExactFloat { e: 8, m: 7 } }
+        Self {
+            kind: ExpUnitKind::ExactFloat { e: 8, m: 7 },
+        }
     }
 
     /// Exact FP16 unit.
     pub fn fp16_exact() -> Self {
-        Self { kind: ExpUnitKind::ExactFloat { e: 5, m: 10 } }
+        Self {
+            kind: ExpUnitKind::ExactFloat { e: 5, m: 10 },
+        }
     }
 
     /// Posit(8,1) approximate unit.
     pub fn posit8_approx() -> Self {
-        Self { kind: ExpUnitKind::PositApprox { n: 8, es: 1 } }
+        Self {
+            kind: ExpUnitKind::PositApprox { n: 8, es: 1 },
+        }
     }
 
     /// Posit(16,1) approximate unit (the §4.2 comparison point).
     pub fn posit16_approx() -> Self {
-        Self { kind: ExpUnitKind::PositApprox { n: 16, es: 1 } }
+        Self {
+            kind: ExpUnitKind::PositApprox { n: 16, es: 1 },
+        }
     }
 
     /// Gate count.
@@ -227,22 +260,30 @@ pub struct RecipUnit {
 impl RecipUnit {
     /// Exact BF16 divider.
     pub fn bf16_divider() -> Self {
-        Self { kind: RecipUnitKind::FloatDivider { e: 8, m: 7 } }
+        Self {
+            kind: RecipUnitKind::FloatDivider { e: 8, m: 7 },
+        }
     }
 
     /// Exact FP16 divider.
     pub fn fp16_divider() -> Self {
-        Self { kind: RecipUnitKind::FloatDivider { e: 5, m: 10 } }
+        Self {
+            kind: RecipUnitKind::FloatDivider { e: 5, m: 10 },
+        }
     }
 
     /// Posit(8,·) bitwise reciprocal.
     pub fn posit8_approx() -> Self {
-        Self { kind: RecipUnitKind::PositApprox { n: 8 } }
+        Self {
+            kind: RecipUnitKind::PositApprox { n: 8 },
+        }
     }
 
     /// Posit(16,·) bitwise reciprocal.
     pub fn posit16_approx() -> Self {
-        Self { kind: RecipUnitKind::PositApprox { n: 16 } }
+        Self {
+            kind: RecipUnitKind::PositApprox { n: 16 },
+        }
     }
 
     /// Gate count.
@@ -298,17 +339,26 @@ pub struct VectorUnit {
 impl VectorUnit {
     /// Vector unit of the FP8 accelerators: exact BF16 lanes.
     pub fn fp8_style(lanes: u32) -> Self {
-        Self { lanes, kind: VectorKind::ExactFloat { e: 8, m: 7 } }
+        Self {
+            lanes,
+            kind: VectorKind::ExactFloat { e: 8, m: 7 },
+        }
     }
 
     /// Vector unit of the BF16 accelerator: exact FP32 lanes.
     pub fn bf16_style(lanes: u32) -> Self {
-        Self { lanes, kind: VectorKind::ExactFloat { e: 8, m: 23 } }
+        Self {
+            lanes,
+            kind: VectorKind::ExactFloat { e: 8, m: 23 },
+        }
     }
 
     /// Vector unit of the Posit8 accelerator: posit approximations.
     pub fn posit8_style(lanes: u32) -> Self {
-        Self { lanes, kind: VectorKind::PositApprox }
+        Self {
+            lanes,
+            kind: VectorKind::PositApprox,
+        }
     }
 
     /// Fixed per-lane infrastructure: a 32-entry 32-bit operand register
@@ -326,8 +376,14 @@ impl VectorUnit {
                     + Gates::adder(m + 4)
                     + Gates::shifter(m + 4)
                     + Gates::lzc(m + 4);
-                let exp = ExpUnit { kind: ExpUnitKind::ExactFloat { e, m } }.gates();
-                let recip = RecipUnit { kind: RecipUnitKind::FloatDivider { e, m } }.gates();
+                let exp = ExpUnit {
+                    kind: ExpUnitKind::ExactFloat { e, m },
+                }
+                .gates();
+                let recip = RecipUnit {
+                    kind: RecipUnitKind::FloatDivider { e, m },
+                }
+                .gates();
                 oh + alu + exp + recip + Gates::comparator(1 + e + m)
             }
             VectorKind::PositApprox => {
@@ -437,7 +493,10 @@ mod tests {
         let tech = Tech40::default();
         let mut prev = AreaPower::default();
         for f in [100.0, 200.0, 300.0, 400.0, 500.0] {
-            let pt = SynthesisPoint { freq_mhz: f, fmax_mhz: 800.0 };
+            let pt = SynthesisPoint {
+                freq_mhz: f,
+                fmax_mhz: 800.0,
+            };
             let ap = ExpUnit::posit8_approx().synth(&tech, pt);
             assert!(ap.area_mm2 >= prev.area_mm2);
             assert!(ap.power_mw > prev.power_mw);

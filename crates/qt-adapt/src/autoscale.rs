@@ -183,7 +183,11 @@ mod tests {
         let mut p = AutoscalePolicy::new(cfg());
         assert_eq!(p.observe(1, 0, 0.9), ScaleDecision::Hold);
         assert_eq!(p.observe(1, 0, 0.5), ScaleDecision::Hold);
-        assert_eq!(p.observe(1, 0, 0.9), ScaleDecision::Hold, "streak restarted");
+        assert_eq!(
+            p.observe(1, 0, 0.9),
+            ScaleDecision::Hold,
+            "streak restarted"
+        );
         assert_eq!(p.observe(1, 0, 0.9), ScaleDecision::Up);
     }
 }

@@ -301,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn transitions_are_single_step_and_logged_in_order(){
+    fn transitions_are_single_step_and_logged_in_order() {
         let mut l = BrownoutLadder::new(BrownoutConfig::default());
         let pressures = [0.9, 0.9, 0.1, 0.1, 0.1, 0.9, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1];
         for (i, p) in pressures.iter().enumerate() {

@@ -185,7 +185,10 @@ mod tests {
         // few gaps plateau, so assert the trend, not strict monotony).
         assert_eq!(drop_times[0], 1_000);
         let gaps: Vec<u64> = drop_times.windows(2).map(|w| w[1] - w[0]).collect();
-        assert!(gaps[gaps.len() - 1] < gaps[0], "spacing must shrink: {gaps:?}");
+        assert!(
+            gaps[gaps.len() - 1] < gaps[0],
+            "spacing must shrink: {gaps:?}"
+        );
         assert!(
             gaps.iter().rev().take(5).all(|g| *g < 100),
             "late-episode drops must be much denser than the interval: {gaps:?}"

@@ -175,7 +175,11 @@ mod tests {
         let evs = d.observe_window(100, &[Some(10.0), Some(80.0), Some(12.0)]);
         assert_eq!(evs.len(), 1);
         match evs[0] {
-            GrayEvent::Eject { replica, at_us, ratio } => {
+            GrayEvent::Eject {
+                replica,
+                at_us,
+                ratio,
+            } => {
                 assert_eq!(replica, 1);
                 assert_eq!(at_us, 100);
                 assert!(ratio > 2.0);
@@ -219,7 +223,13 @@ mod tests {
         assert!(d.observe_window(400, &fast).is_empty());
         // Second consecutive healthy window: rejoin.
         let evs = d.observe_window(500, &fast);
-        assert_eq!(evs, vec![GrayEvent::Rejoin { replica: 1, at_us: 500 }]);
+        assert_eq!(
+            evs,
+            vec![GrayEvent::Rejoin {
+                replica: 1,
+                at_us: 500
+            }]
+        );
         assert!(!d.is_ejected(1));
         // Going gray again after rejoin needs the full eject streak —
         // and counts a second ejection.

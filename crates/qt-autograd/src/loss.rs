@@ -69,9 +69,7 @@ impl Tape {
         let loss = Tensor::scalar(diff.data().iter().map(|d| d * d).sum::<f32>() / n);
         let target = target.clone();
         self.unary(pred, loss, move |g, parents, _| {
-            parents
-                .sub(&target)
-                .mul_scalar(2.0 * g.data()[0] / n)
+            parents.sub(&target).mul_scalar(2.0 * g.data()[0] / n)
         })
     }
 }

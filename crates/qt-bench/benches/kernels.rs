@@ -104,8 +104,12 @@ fn bench_approx_ops(c: &mut Criterion) {
 
 fn bench_quire(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
-    let a: Vec<P8E1> = (0..256).map(|_| P8E1::from_f64(rng.gen_range(-2.0..2.0))).collect();
-    let b2: Vec<P8E1> = (0..256).map(|_| P8E1::from_f64(rng.gen_range(-2.0..2.0))).collect();
+    let a: Vec<P8E1> = (0..256)
+        .map(|_| P8E1::from_f64(rng.gen_range(-2.0..2.0)))
+        .collect();
+    let b2: Vec<P8E1> = (0..256)
+        .map(|_| P8E1::from_f64(rng.gen_range(-2.0..2.0)))
+        .collect();
     c.bench_function("quire_fused_dot_256", |b| {
         b.iter(|| FusedDot::dot(black_box(&a), black_box(&b2)))
     });

@@ -30,7 +30,10 @@ fn main() {
     );
     for (pname, policy) in [
         ("standard (saturate to minpos)", UnderflowPolicy::Standard),
-        ("paper §3.4 (ties to zero)", UnderflowPolicy::RoundTiesToZero),
+        (
+            "paper §3.4 (ties to zero)",
+            UnderflowPolicy::RoundTiesToZero,
+        ),
     ] {
         for (sname, scaling) in [
             ("none", ScalingMode::None),
@@ -41,8 +44,16 @@ fn main() {
                 .with_scaling(scaling);
             let run_id = format!(
                 "abl01-{}-{}",
-                if matches!(policy, UnderflowPolicy::Standard) { "std" } else { "rtz" },
-                if matches!(scaling, ScalingMode::None) { "none" } else { "amax" },
+                if matches!(policy, UnderflowPolicy::Standard) {
+                    "std"
+                } else {
+                    "rtz"
+                },
+                if matches!(scaling, ScalingMode::None) {
+                    "none"
+                } else {
+                    "amax"
+                },
             );
             let model = lora_finetune_classify(
                 &pretrained,

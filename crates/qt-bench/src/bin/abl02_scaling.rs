@@ -26,9 +26,18 @@ fn main() {
     let modes: [(&str, ScalingMode); 5] = [
         ("none", ScalingMode::None),
         ("loss scale 256", ScalingMode::LossScale(256.0)),
-        ("per-tensor, history 1", ScalingMode::PerTensorAmax { history: 1 }),
-        ("per-tensor, history 16", ScalingMode::PerTensorAmax { history: 16 }),
-        ("per-tensor, history 64", ScalingMode::PerTensorAmax { history: 64 }),
+        (
+            "per-tensor, history 1",
+            ScalingMode::PerTensorAmax { history: 1 },
+        ),
+        (
+            "per-tensor, history 16",
+            ScalingMode::PerTensorAmax { history: 16 },
+        ),
+        (
+            "per-tensor, history 64",
+            ScalingMode::PerTensorAmax { history: 64 },
+        ),
     ];
 
     let mut table = Table::new(

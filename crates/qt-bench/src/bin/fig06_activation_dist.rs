@@ -44,7 +44,9 @@ fn main() {
         let p = probe.borrow();
         for l in 0..cfg.layers {
             let needle = format!("enc.{l}.");
-            let Some(hist) = p.merged_hist(&needle) else { continue };
+            let Some(hist) = p.merged_hist(&needle) else {
+                continue;
+            };
             let entries = p.matching(&needle);
             let amax = entries.iter().map(|(_, s)| s.amax).fold(0.0f32, f32::max);
             let total: u64 = hist.iter().sum::<u64>().max(1);

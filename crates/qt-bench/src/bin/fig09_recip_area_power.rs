@@ -29,11 +29,7 @@ fn main() {
         let mut cells = vec![format!("{f}")];
         for (_, u) in &units {
             let ap = u.synth(&tech, pt);
-            cells.push(format!(
-                "{:.0}/{:.2}",
-                ap.area_mm2 * 1e6,
-                ap.power_mw * 1e3
-            ));
+            cells.push(format!("{:.0}/{:.2}", ap.area_mm2 * 1e6, ap.power_mw * 1e3));
         }
         table.row(&cells);
     }

@@ -11,9 +11,7 @@ use qt_datagen::ClassifyKind;
 use qt_quant::{ElemFormat, QuantScheme, ScalingMode};
 use qt_tensor::TensorStats;
 use qt_train::{AdamW, Trainer};
-use qt_transformer::{
-    Model, ProbeStore, QuantCtx, TaskHead, TrainMode, TransformerConfig,
-};
+use qt_transformer::{Model, ProbeStore, QuantCtx, TaskHead, TrainMode, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -52,7 +50,8 @@ fn main() {
     classes.push(("activations", acts));
     classes.push((
         "act gradients",
-        p.merged_hist_where(|n| n.ends_with(".grad")).unwrap_or_default(),
+        p.merged_hist_where(|n| n.ends_with(".grad"))
+            .unwrap_or_default(),
     ));
     // weights straight from the model
     let mut whist = vec![0u64; TensorStats::BUCKETS];

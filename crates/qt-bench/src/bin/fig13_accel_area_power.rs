@@ -17,7 +17,14 @@ fn main() {
     let mut table = Table::new(
         "Figure 13: accelerator area (mm2) / power (mW) at 200 MHz, 0.9 V",
         &[
-            "Size", "Datapath", "Array", "Vector", "Codecs", "SRAM", "Total area", "Total power",
+            "Size",
+            "Datapath",
+            "Array",
+            "Vector",
+            "Codecs",
+            "SRAM",
+            "Total area",
+            "Total power",
             "vs BF16",
         ],
     );
@@ -48,8 +55,12 @@ fn main() {
     let mut f8p = 0.0;
     for n in [8u32, 16, 32] {
         let bf = Accelerator::new(n, Datapath::Bf16).synth(&tech, pt).total();
-        let p8 = Accelerator::new(n, Datapath::Posit8).synth(&tech, pt).total();
-        let f8 = Accelerator::new(n, Datapath::HybridFp8).synth(&tech, pt).total();
+        let p8 = Accelerator::new(n, Datapath::Posit8)
+            .synth(&tech, pt)
+            .total();
+        let f8 = Accelerator::new(n, Datapath::HybridFp8)
+            .synth(&tech, pt)
+            .total();
         p8a += 1.0 - p8.area_mm2 / bf.area_mm2;
         p8p += 1.0 - p8.power_mw / bf.power_mw;
         f8a += 1.0 - f8.area_mm2 / bf.area_mm2;

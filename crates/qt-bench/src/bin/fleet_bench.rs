@@ -248,10 +248,8 @@ fn main() {
 
     // Any adapt flag arms the control plane (and with it the gray
     // detector); the tick interval defaults to 50 ms when unset.
-    let adapt_on = brownout_flag
-        || autoscale.is_some()
-        || !gray_slow.is_empty()
-        || adapt_interval_ms > 0;
+    let adapt_on =
+        brownout_flag || autoscale.is_some() || !gray_slow.is_empty() || adapt_interval_ms > 0;
     if adapt_on && adapt_interval_ms == 0 {
         adapt_interval_ms = 50;
     }
@@ -458,7 +456,8 @@ fn main() {
             "{}: outcome counters must reconcile to offered load",
             policy.name()
         );
-        let unflagged = audit_unflagged_corruption(&model, &cfg, &requests, faults_for(&specs), &report);
+        let unflagged =
+            audit_unflagged_corruption(&model, &cfg, &requests, faults_for(&specs), &report);
         let mut doc = report.to_json();
         if let serde_json::Value::Object(map) = &mut doc {
             map.insert("unflagged_corrupt".into(), serde_json::json!(unflagged));
@@ -562,7 +561,8 @@ fn main() {
                 policy.name()
             );
             assert_ne!(
-                report.brownout_peak, "normal",
+                report.brownout_peak,
+                "normal",
                 "{}: --expect-brownout: the ladder never left Normal",
                 policy.name()
             );
@@ -593,7 +593,10 @@ fn main() {
                 policy.name()
             );
             assert!(
-                report.adapt_events.iter().any(|e| e.kind == "scale_up_done"),
+                report
+                    .adapt_events
+                    .iter()
+                    .any(|e| e.kind == "scale_up_done"),
                 "{}: --expect-scale-up: boot never completed",
                 policy.name()
             );
@@ -619,7 +622,9 @@ fn main() {
                 policy.name()
             );
             assert_eq!(
-                report.shed_overload + report.codel_drops + report.gray_ejections
+                report.shed_overload
+                    + report.codel_drops
+                    + report.gray_ejections
                     + report.scale_ups
                     + report.scale_downs,
                 0,
@@ -720,7 +725,10 @@ fn main() {
 
     // Quick textual comparison table for humans.
     let offered = reports.first().map_or(0, |(_, r, _)| r.responses.len());
-    println!("fleet_bench (seed {}, {offered} requests/policy)", opts.seed);
+    println!(
+        "fleet_bench (seed {}, {offered} requests/policy)",
+        opts.seed
+    );
     println!(
         "  {:<14} {:>8} {:>8} {:>8} {:>10} {:>8} {:>10} {:>10}",
         "policy", "goodput", "shed", "miss", "failovers", "hedges", "p50 ms", "p99 ms"

@@ -164,8 +164,7 @@ fn main() {
             "--repair-us-per-word" => parse_next(&mut it, &mut repair_us_per_word),
             "--bers" => {
                 if let Some(v) = it.next() {
-                    let parsed: Vec<f64> =
-                        v.split(',').filter_map(|b| b.parse().ok()).collect();
+                    let parsed: Vec<f64> = v.split(',').filter_map(|b| b.parse().ok()).collect();
                     if !parsed.is_empty() {
                         sweep_bers = parsed;
                     }
@@ -302,8 +301,7 @@ fn main() {
         for r in 0..n_replicas {
             let one = replay_rot(storage_seed, leg_ber, r, windows, total_bits);
             assert_eq!(
-                one.flips,
-                report.replicas[r].stats.storage_flips,
+                one.flips, report.replicas[r].stats.storage_flips,
                 "{name}: offline rot replay must match the simulation flip-for-flip \
                  (replica {r})"
             );

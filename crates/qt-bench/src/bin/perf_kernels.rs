@@ -27,8 +27,8 @@ use qt_datagen::LmTask;
 use qt_quant::{matmul_codes, ElemFormat, FakeQuant, PackedQuantB, QuantScheme};
 use qt_tensor::kernels::{with_backend, GemmBackend, ALL_BACKENDS};
 use qt_tensor::Tensor;
-use qt_train::evaluate_lm_perplexity;
 use qt_trace::{RunManifest, TraceSession};
+use qt_train::evaluate_lm_perplexity;
 use qt_transformer::{QuantCtx, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use serde_json::{json, Value};
@@ -77,12 +77,7 @@ fn fnv1a64(h: &mut u64, data: &[f32]) {
 /// Sweep `f` over every available backend × pool size, asserting each
 /// result is bitwise-identical to `reference`. Returns
 /// `{backend: {tN: ms}}` rows.
-fn backend_sweep(
-    what: &str,
-    iters: usize,
-    reference: &Tensor,
-    f: impl Fn() -> Tensor,
-) -> Value {
+fn backend_sweep(what: &str, iters: usize, reference: &Tensor, f: impl Fn() -> Tensor) -> Value {
     let mut rows = BTreeMap::new();
     for b in ALL_BACKENDS {
         if !b.available() {
@@ -90,8 +85,7 @@ fn backend_sweep(
         }
         let mut ms = BTreeMap::new();
         for t in SWEEP {
-            let (out, best) =
-                with_backend(b, || qt_par::with_threads(t, || time_ms(iters, &f)));
+            let (out, best) = with_backend(b, || qt_par::with_threads(t, || time_ms(iters, &f)));
             assert_eq!(
                 out.data(),
                 reference.data(),
@@ -176,8 +170,7 @@ fn main() {
         let b = Tensor::randn(&[*k, *n], &mut rng);
 
         // f32 domain: the ordinary dequantized matmul.
-        let reference =
-            with_backend(GemmBackend::Scalar, || qt_par::serial(|| a.matmul(&b)));
+        let reference = with_backend(GemmBackend::Scalar, || qt_par::serial(|| a.matmul(&b)));
         fnv1a64(&mut digest, reference.data());
         let backs = backend_sweep(&format!("GEMM {name}"), iters, &reference, || a.matmul(&b));
         eprintln!("[perf_kernels] gemm {name} [{m}x{k}x{n}] f32: {backs:?}");
@@ -258,8 +251,7 @@ fn main() {
 
     // Baseline + history come from the committed results file (or an
     // explicit --baseline); the freshly measured run is appended.
-    let prior_path =
-        baseline_path.unwrap_or_else(|| opts.out_dir.join("BENCH_kernels.json"));
+    let prior_path = baseline_path.unwrap_or_else(|| opts.out_dir.join("BENCH_kernels.json"));
     let prior: Option<Value> = std::fs::read_to_string(&prior_path)
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok());
@@ -339,7 +331,10 @@ fn main() {
                 );
                 ms.insert(t, best);
             }
-            eprintln!("[perf_kernels] quantize {} ({elems} elems): {ms:?}", fmt.name());
+            eprintln!(
+                "[perf_kernels] quantize {} ({elems} elems): {ms:?}",
+                fmt.name()
+            );
             quant_rows.push(json!({
                 "format": fmt.name(),
                 "elements": elems as u64,
@@ -393,7 +388,10 @@ fn main() {
             );
             fwd_ms.insert(t, best);
         }
-        eprintln!("[perf_kernels] forward {} (ppl {ref_ppl:.3}): {fwd_ms:?}", cfg.name);
+        eprintln!(
+            "[perf_kernels] forward {} (ppl {ref_ppl:.3}): {fwd_ms:?}",
+            cfg.name
+        );
         json!({
             "model": cfg.name,
             "batches": batches.len() as u64,
@@ -430,7 +428,10 @@ fn main() {
     // Backend-invariant digest of the reference output bits: every CI
     // backend leg must produce this exact file (cmp across legs).
     let digest_path = opts.out_dir.join("GEMM_digest.txt");
-    let digest_text = format!("gemm-digest-v1 fnv1a64 {digest:016x} shapes {}\n", shapes.len());
+    let digest_text = format!(
+        "gemm-digest-v1 fnv1a64 {digest:016x} shapes {}\n",
+        shapes.len()
+    );
     qt_ckpt::atomic_write_str(&digest_path, &digest_text).expect("write GEMM_digest.txt");
     eprintln!("[perf_kernels] wrote {}", digest_path.display());
 }

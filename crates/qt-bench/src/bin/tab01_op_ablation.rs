@@ -38,8 +38,14 @@ fn main() {
         ("BF16", None),
         ("GEMM", Some(OpSet::GEMM_ONLY)),
         ("GEMM + Residual", Some(OpSet::gemm_plus(OpClass::Residual))),
-        ("GEMM + LayerNorm", Some(OpSet::gemm_plus(OpClass::LayerNorm))),
-        ("GEMM + Activation", Some(OpSet::gemm_plus(OpClass::Activation))),
+        (
+            "GEMM + LayerNorm",
+            Some(OpSet::gemm_plus(OpClass::LayerNorm)),
+        ),
+        (
+            "GEMM + Activation",
+            Some(OpSet::gemm_plus(OpClass::Activation)),
+        ),
         (
             "GEMM + Attn Scaling",
             Some(OpSet::gemm_plus(OpClass::AttnScaling)),

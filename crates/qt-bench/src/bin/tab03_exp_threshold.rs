@@ -35,7 +35,12 @@ fn main() {
 
     let mut table = Table::new(
         "Table 3: approximate-exponential threshold/shift sweep (MobileBERT-sim F1)",
-        &["Threshold θ", "ε (derived)", "Accuracy 1 (θ only)", "Accuracy 2 (θ + shift)"],
+        &[
+            "Threshold θ",
+            "ε (derived)",
+            "Accuracy 1 (θ only)",
+            "Accuracy 2 (θ + shift)",
+        ],
     );
     table.row(&[
         "none (raw)".into(),
@@ -59,7 +64,12 @@ fn main() {
         &eval,
         32,
     );
-    table.row(&["Baseline BF16".into(), "-".into(), format!("{bf16:.1}"), String::new()]);
+    table.row(&[
+        "Baseline BF16".into(),
+        "-".into(),
+        format!("{bf16:.1}"),
+        String::new(),
+    ]);
 
     table.print();
     table

@@ -49,10 +49,7 @@ fn main() {
                 exp: ExpApprox::PAPER_BEST,
             }),
         ),
-        (
-            "Posit8 + both",
-            Some(SoftmaxKind::posit_full()),
-        ),
+        ("Posit8 + both", Some(SoftmaxKind::posit_full())),
     ];
 
     let mut table = Table::new(

@@ -20,7 +20,13 @@ fn main() {
     let mut table = Table::new(
         "Table 5: WER (%) on synthetic ASR vs fusion level",
         &[
-            "Model", "Data type", "BF16", "No Fusion", "+AttnScal", "+Activation", "+LayerNorm",
+            "Model",
+            "Data type",
+            "BF16",
+            "No Fusion",
+            "+AttnScal",
+            "+Activation",
+            "+LayerNorm",
             "+Residual",
         ],
     );
@@ -39,7 +45,11 @@ fn main() {
         };
         let bf16 = wer(QuantScheme::bf16());
         for fmt in [ElemFormat::P8E1, ElemFormat::P8E2, ElemFormat::E4M3] {
-            let mut cells = vec![cfg.name.to_string(), fmt.name().to_string(), format!("{bf16:.1}")];
+            let mut cells = vec![
+                cfg.name.to_string(),
+                fmt.name().to_string(),
+                format!("{bf16:.1}"),
+            ];
             for level in FusionLevel::ALL {
                 let w = wer(QuantScheme::uniform(fmt).with_fusion(level));
                 cells.push(format!("{w:.1}"));

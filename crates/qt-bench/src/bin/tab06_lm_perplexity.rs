@@ -22,7 +22,13 @@ fn main() {
     let mut table = Table::new(
         "Table 6: perplexity on the synthetic Markov language vs fusion level",
         &[
-            "Model", "Data type", "BF16", "No Fusion", "+AttnScal", "+Activation", "+LayerNorm",
+            "Model",
+            "Data type",
+            "BF16",
+            "No Fusion",
+            "+AttnScal",
+            "+Activation",
+            "+LayerNorm",
             "+Residual",
         ],
     );
@@ -59,7 +65,11 @@ fn main() {
         };
         let bf16 = ppl(QuantScheme::bf16(), &format!("{}.BF16", cfg.name));
         for fmt in [ElemFormat::P8E1, ElemFormat::P8E2, ElemFormat::E4M3] {
-            let mut cells = vec![cfg.name.to_string(), fmt.name().to_string(), format!("{bf16:.2}")];
+            let mut cells = vec![
+                cfg.name.to_string(),
+                fmt.name().to_string(),
+                format!("{bf16:.2}"),
+            ];
             for level in FusionLevel::ALL {
                 let label = format!("{}.{}.{:?}", cfg.name, fmt.name(), level);
                 let p = ppl(QuantScheme::uniform(fmt).with_fusion(level), &label);

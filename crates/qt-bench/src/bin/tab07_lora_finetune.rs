@@ -70,7 +70,9 @@ fn main() {
 
     let mut table = Table::new(
         "Table 7: fine-tuning accuracy by method (GLUE-style acc % / SQuAD-style F1)",
-        &["Model", "Method", "#Train", "MNLI", "QNLI", "MRPC", "SST-2", "SQuAD"],
+        &[
+            "Model", "Method", "#Train", "MNLI", "QNLI", "MRPC", "SST-2", "SQuAD",
+        ],
     );
 
     for (cfg, lora) in [

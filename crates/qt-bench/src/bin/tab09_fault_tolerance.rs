@@ -177,7 +177,14 @@ fn main() {
     let mut ckpt_table = Table::new(
         "Table 9b: checkpoint corruption — detection and generation fallback",
         &[
-            "Format", "BER", "Bytes", "Corrupted", "Detected", "Silent", "Recovery", "Depth",
+            "Format",
+            "BER",
+            "Bytes",
+            "Corrupted",
+            "Detected",
+            "Silent",
+            "Recovery",
+            "Depth",
         ],
     );
     for cell in &ckpt_cells {

@@ -10,9 +10,7 @@ use qt_datagen::{AsrTask, ClassifyKind, ClassifyTask, LmTask, SpanTask};
 use qt_quant::QuantScheme;
 use qt_trace::TraceHandle;
 use qt_train::{AdamW, Trainer};
-use qt_transformer::{
-    LoraConfig, Model, QuantCtx, TaskHead, TrainMode, TransformerConfig,
-};
+use qt_transformer::{LoraConfig, Model, QuantCtx, TaskHead, TrainMode, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use std::rc::Rc;
 
@@ -27,7 +25,9 @@ fn apply_ckpt_spec(
     scheme: QuantScheme,
     task: &str,
 ) -> (Trainer<AdamW>, usize) {
-    let Some(spec) = spec else { return (trainer, 0) };
+    let Some(spec) = spec else {
+        return (trainer, 0);
+    };
     let store = CheckpointStore::open(&spec.dir);
     trainer = trainer
         .with_checkpointing(store, spec.every, data_seed)
@@ -51,12 +51,7 @@ fn apply_ckpt_spec(
 }
 
 /// Pre-train a span-extraction model (SQuAD analogue) in FP32.
-pub fn pretrain_span(
-    cfg: &TransformerConfig,
-    task: &SpanTask,
-    steps: usize,
-    seed: u64,
-) -> Model {
+pub fn pretrain_span(cfg: &TransformerConfig, task: &SpanTask, steps: usize, seed: u64) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = Model::new(cfg.clone(), TaskHead::Span, &mut rng);
     let mut trainer = Trainer::new(
@@ -81,7 +76,11 @@ pub fn pretrain_classify(
     seed: u64,
 ) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
-    let model = Model::new(cfg.clone(), TaskHead::Classify(task.kind.classes()), &mut rng);
+    let model = Model::new(
+        cfg.clone(),
+        TaskHead::Classify(task.kind.classes()),
+        &mut rng,
+    );
     let mut trainer = Trainer::new(
         model,
         QuantCtx::training(QuantScheme::fp32()),
@@ -115,12 +114,7 @@ pub fn pretrain_lm(cfg: &TransformerConfig, task: &LmTask, steps: usize, seed: u
 }
 
 /// Pre-train an encoder-decoder transcription model in FP32.
-pub fn pretrain_seq2seq(
-    cfg: &TransformerConfig,
-    task: &AsrTask,
-    steps: usize,
-    seed: u64,
-) -> Model {
+pub fn pretrain_seq2seq(cfg: &TransformerConfig, task: &AsrTask, steps: usize, seed: u64) -> Model {
     let mut rng = StdRng::seed_from_u64(seed);
     let model = Model::new(cfg.clone(), TaskHead::LmTied, &mut rng);
     let mut trainer = Trainer::new(

@@ -30,7 +30,8 @@ impl Table {
 
     /// Append a row of string slices.
     pub fn row_strs(&mut self, cells: &[&str]) {
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
+        self.rows
+            .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
     /// Render aligned text.

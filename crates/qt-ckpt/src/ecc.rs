@@ -83,7 +83,9 @@ mod tests {
     use super::*;
 
     fn payload(n: usize) -> Vec<u8> {
-        (0..n).map(|i| (i as u8).wrapping_mul(31).wrapping_add(7)).collect()
+        (0..n)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
     }
 
     #[test]

@@ -47,7 +47,10 @@ impl fmt::Display for CkptError {
                 write!(f, "unsupported checkpoint format version {v}")
             }
             CkptError::Truncated { expected, actual } => {
-                write!(f, "truncated checkpoint: needed {expected} bytes, have {actual}")
+                write!(
+                    f,
+                    "truncated checkpoint: needed {expected} bytes, have {actual}"
+                )
             }
             CkptError::SectionCrc { section, offset } => {
                 write!(

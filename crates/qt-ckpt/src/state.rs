@@ -84,7 +84,10 @@ pub struct OptState {
 impl OptState {
     /// Look up a scalar by name.
     pub fn scalar(&self, name: &str) -> Option<u64> {
-        self.scalars.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.scalars
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
     }
 
     /// Look up a scalar stored as an `f32` bit pattern.
@@ -322,7 +325,13 @@ impl TrainState {
 
         let mut w = ByteWriter::new();
         let c = &self.counters;
-        for v in [c.steps, c.skipped, c.consecutive_skips, c.rollbacks, c.data_seed] {
+        for v in [
+            c.steps,
+            c.skipped,
+            c.consecutive_skips,
+            c.rollbacks,
+            c.data_seed,
+        ] {
             w.put_u64(v);
         }
         env.section("counters", &w.into_bytes());
@@ -510,7 +519,10 @@ mod tests {
 
     fn sample_state() -> TrainState {
         TrainState {
-            meta: vec![("run".into(), "test".into()), ("scheme".into(), "posit8".into())],
+            meta: vec![
+                ("run".into(), "test".into()),
+                ("scheme".into(), "posit8".into()),
+            ],
             counters: Counters {
                 steps: 12,
                 skipped: 3,

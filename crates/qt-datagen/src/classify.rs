@@ -167,8 +167,8 @@ impl ClassifyTask {
         let key = rng.gen_range(0..14);
         let label = rng.gen_range(0..3usize); // 0 entail, 1 neutral, 2 contradict
         let second = match label {
-            0 => key,                                 // same key → entailment
-            2 => (key + 1) % 16,                      // successor → contradiction
+            0 => key,                                   // same key → entailment
+            2 => (key + 1) % 16,                        // successor → contradiction
             _ => (key + 2 + rng.gen_range(0..12)) % 16, // anything else → neutral
         };
         let mut body = vec![content + key];
@@ -190,10 +190,7 @@ impl ClassifyTask {
     }
 
     /// Pack into a batch plus labels.
-    pub fn batch(
-        &self,
-        examples: &[(Vec<usize>, Vec<bool>, usize)],
-    ) -> (TokenBatch, Vec<usize>) {
+    pub fn batch(&self, examples: &[(Vec<usize>, Vec<bool>, usize)]) -> (TokenBatch, Vec<usize>) {
         let b = examples.len();
         let mut ids = Vec::with_capacity(b * self.seq_len);
         let mut valid = Vec::with_capacity(b * self.seq_len);
@@ -262,10 +259,7 @@ mod tests {
         for _ in 0..100 {
             let (ids, valid, label) = task.sample(&mut rng);
             let q = ids[1];
-            let contains = ids[3..]
-                .iter()
-                .zip(&valid[3..])
-                .any(|(&t, &v)| v && t == q);
+            let contains = ids[3..].iter().zip(&valid[3..]).any(|(&t, &v)| v && t == q);
             assert_eq!(label, usize::from(contains));
         }
     }

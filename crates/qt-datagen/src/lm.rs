@@ -94,7 +94,7 @@ impl LmTask {
         let p_peak = self.peak_mass / self.branching as f64;
         let p_rest = (1.0 - self.peak_mass) / content_count;
         // branching tokens get p_peak (+ tiny rest mass, ignored)
-        
+
         -(self.branching as f64) * p_peak * p_peak.ln()
             - (content_count - self.branching as f64) * p_rest * p_rest.ln().min(0.0)
     }

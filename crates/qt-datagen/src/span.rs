@@ -77,8 +77,7 @@ impl SpanTask {
                 // decoy: a *different* key — the model must attend sharply
                 // to the exact match, which drives attention logits wide
                 let decoy = keys_base
-                    + (q - keys_base + 1 + rng.gen_range(0..self.num_keys - 1))
-                        % self.num_keys;
+                    + (q - keys_base + 1 + rng.gen_range(0..self.num_keys - 1)) % self.num_keys;
                 ids.push(decoy);
             } else {
                 // filler that never collides with a key token
@@ -117,10 +116,7 @@ impl SpanTask {
             valid.extend_from_slice(&ex.valid);
             targets.push((ex.start, ex.end));
         }
-        (
-            TokenBatch::with_mask(ids, b, self.seq_len, valid),
-            targets,
-        )
+        (TokenBatch::with_mask(ids, b, self.seq_len, valid), targets)
     }
 }
 

@@ -208,7 +208,11 @@ impl FleetConfig {
         if self.replicas.is_empty() {
             self.replicas.push(ReplicaSpec::new(ElemFormat::P8E1));
         }
-        self.replicas = self.replicas.into_iter().map(ReplicaSpec::normalized).collect();
+        self.replicas = self
+            .replicas
+            .into_iter()
+            .map(ReplicaSpec::normalized)
+            .collect();
         self.tenants = self.tenants.max(1);
         self.shield = self.shield.map(ShieldConfig::normalized);
         self

@@ -185,10 +185,7 @@ mod tests {
         };
         let reqs = spec.requests(96);
         // Quarter around the trough (period edge) vs around the peak.
-        let trough = reqs
-            .iter()
-            .filter(|r| r.req.arrival_us < 250_000)
-            .count();
+        let trough = reqs.iter().filter(|r| r.req.arrival_us < 250_000).count();
         let peak = reqs
             .iter()
             .filter(|r| (375_000..625_000).contains(&r.req.arrival_us))

@@ -3,9 +3,7 @@
 
 use crate::config::{ReplicaSpec, ShieldConfig};
 use qt_robust::{cell_seed, FaultSource, StorageFaultModel};
-use qt_serve::{
-    BreakerState, CircuitBreaker, Engine, HealthSnapshot, ServeConfig, SnapshotError,
-};
+use qt_serve::{BreakerState, CircuitBreaker, Engine, HealthSnapshot, ServeConfig, SnapshotError};
 use qt_shield::Shield;
 use qt_transformer::Model;
 use std::cell::RefCell;
@@ -148,7 +146,9 @@ impl Replica {
     /// Whether any protected region is currently quarantined — primary
     /// serving must route down the degraded path until repair lands.
     pub fn shield_quarantined(&self) -> bool {
-        self.shield.as_ref().is_some_and(|s| s.shield.has_quarantine())
+        self.shield
+            .as_ref()
+            .is_some_and(|s| s.shield.has_quarantine())
     }
 
     /// The serving engine.
@@ -276,7 +276,10 @@ impl SnapStore for MemSnapStore {
         if self.corrupt.contains(&replica) {
             return Err(SnapshotError::Corrupt("scripted corruption".to_string()));
         }
-        self.snaps.get(&replica).cloned().ok_or(SnapshotError::Missing)
+        self.snaps
+            .get(&replica)
+            .cloned()
+            .ok_or(SnapshotError::Missing)
     }
 }
 

@@ -453,7 +453,14 @@ impl<'t> Fleet<'t> {
         }
     }
 
-    fn respond(&mut self, job: &Job, outcome: FleetOutcome, replica: Option<usize>, label: Option<usize>, finish_us: u64) {
+    fn respond(
+        &mut self,
+        job: &Job,
+        outcome: FleetOutcome,
+        replica: Option<usize>,
+        label: Option<usize>,
+        finish_us: u64,
+    ) {
         let rep = &mut self.report;
         match outcome {
             FleetOutcome::ServedPrimary => rep.served_primary += 1,
@@ -535,8 +542,7 @@ impl<'t> Fleet<'t> {
     /// one is ahead of it, else queue it (the router only returns
     /// replicas with room) and drain.
     fn place(&mut self, target: usize, job: Job, now: u64) {
-        if self.busy[target] < self.replicas[target].spec.workers
-            && self.queues[target].is_empty()
+        if self.busy[target] < self.replicas[target].spec.workers && self.queues[target].is_empty()
         {
             self.start_service(target, job, now);
         } else {
@@ -628,7 +634,12 @@ impl<'t> Fleet<'t> {
         // in-place fix); a double-bit detection quarantines *now*, so
         // this very episode already routes down the degraded path.
         if self.replicas[r].shield.is_some() {
-            let out = self.replicas[r].shield.as_mut().unwrap().shield.verify_reads();
+            let out = self.replicas[r]
+                .shield
+                .as_mut()
+                .unwrap()
+                .shield
+                .verify_reads();
             if out.corrected > 0 {
                 self.replicas[r].stats.read_corrected += out.corrected;
                 self.tel.read_corrected(now, r, out.corrected);
@@ -639,7 +650,13 @@ impl<'t> Fleet<'t> {
         }
         let can_failover =
             self.replicas.len() > 1 && job.failovers < self.cfg.max_failovers && !job.economy;
-        let ep = run_episode(&self.replicas[r], &job, now, can_failover, self.cfg.retry_seed);
+        let ep = run_episode(
+            &self.replicas[r],
+            &job,
+            now,
+            can_failover,
+            self.cfg.retry_seed,
+        );
         for a in &ep.spans {
             let id = job.freq.req.id;
             self.tel
@@ -890,7 +907,10 @@ impl<'t> Fleet<'t> {
             return;
         };
         let (elements, words) = {
-            let s = self.replicas[r].shield.as_ref().expect("quarantine without shield");
+            let s = self.replicas[r]
+                .shield
+                .as_ref()
+                .expect("quarantine without shield");
             let reg = &s.shield.regions()[region];
             (reg.codes_len() as u64, reg.words() as u64)
         };
@@ -910,7 +930,8 @@ impl<'t> Fleet<'t> {
             detail: region as f64,
         });
         self.tel.quarantine(now, r, region);
-        self.events.push(now + words * sc.repair_us_per_word, Ev::Repair(r, region));
+        self.events
+            .push(now + words * sc.repair_us_per_word, Ev::Repair(r, region));
     }
 
     /// One background scrub window on `r`: decode under the bandwidth
@@ -1002,18 +1023,22 @@ impl<'t> Fleet<'t> {
         let span = trace.map(|t| t.borrow_mut().begin("fleet.sim", "fleet"));
         let last_arrival = requests.last().map(|r| r.req.arrival_us).unwrap_or(0);
         for fr in requests {
-            self.events.push(fr.req.arrival_us, Ev::Arrival(Box::new(fr.clone())));
+            self.events
+                .push(fr.req.arrival_us, Ev::Arrival(Box::new(fr.clone())));
         }
         for id in 0..self.replicas.len() {
             for w in self.replicas[id].spec.crashes.windows().to_vec() {
-                self.events.push(w.down_at_us, Ev::Lifecycle(id, LifecycleEvent::Crash));
+                self.events
+                    .push(w.down_at_us, Ev::Lifecycle(id, LifecycleEvent::Crash));
                 if w.up_at_us < u64::MAX {
-                    self.events.push(w.up_at_us, Ev::Lifecycle(id, LifecycleEvent::Recover));
+                    self.events
+                        .push(w.up_at_us, Ev::Lifecycle(id, LifecycleEvent::Recover));
                 }
             }
         }
         if self.cfg.snapshot_every_us > 0 {
-            self.events.push(self.cfg.snapshot_every_us, Ev::SnapshotTick);
+            self.events
+                .push(self.cfg.snapshot_every_us, Ev::SnapshotTick);
         }
         if let Some(every) = self.adapt.as_ref().map(|a| a.every_us) {
             self.events.push(every, Ev::AdaptTick);
@@ -1118,7 +1143,8 @@ impl<'t> Fleet<'t> {
                             ],
                         );
                         if corrupt {
-                            s.metrics_mut().counter_add("fleet.snapshot_corrupt", &[], 1);
+                            s.metrics_mut()
+                                .counter_add("fleet.snapshot_corrupt", &[], 1);
                         }
                     }
                 }
@@ -1433,7 +1459,10 @@ mod tests {
         let r1 = &report.replicas[1];
         assert_eq!(r1.stats.crashes, 1);
         assert_eq!(r1.stats.recoveries, 1);
-        assert!(r1.stats.snapshot_saves > 0, "snapshots written before death");
+        assert!(
+            r1.stats.snapshot_saves > 0,
+            "snapshots written before death"
+        );
         assert_eq!(r1.stats.snapshot_resumes, 1, "recovered from its snapshot");
         assert!(
             r1.stats.served_after_recovery > 0,
@@ -1457,8 +1486,10 @@ mod tests {
         // Replica 0: essentially every primary read flagged. Replica 1:
         // healthy.
         let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
-        let faults: Vec<Box<dyn FaultSource + Send + Sync>> =
-            vec![Box::new(BerFaultSource::new(5, codec, 0.05)), Box::new(NoFaults)];
+        let faults: Vec<Box<dyn FaultSource + Send + Sync>> = vec![
+            Box::new(BerFaultSource::new(5, codec, 0.05)),
+            Box::new(NoFaults),
+        ];
         let reqs = light_load(&model, 4, 16);
         let report = run_fleet(
             &model,
@@ -1577,7 +1608,12 @@ mod tests {
             .filter(|e| e.kind.starts_with("brownout"))
         {
             let d = e.detail as i64;
-            assert_eq!((d - sev).abs(), 1, "single-step walk: {:?}", report.adapt_events);
+            assert_eq!(
+                (d - sev).abs(),
+                1,
+                "single-step walk: {:?}",
+                report.adapt_events
+            );
             sev = d;
         }
         // Brownout never rejects paid traffic (users 0,1 mod 4).
@@ -1588,7 +1624,11 @@ mod tests {
         }
         // Booted replicas joined through the recovery path: forced Open,
         // then re-earned traffic via half-open probes.
-        for e in report.adapt_events.iter().filter(|e| e.kind == "scale_up_done") {
+        for e in report
+            .adapt_events
+            .iter()
+            .filter(|e| e.kind == "scale_up_done")
+        {
             let r = e.replica.unwrap();
             assert!(report.replicas[r].stats.recoveries >= 1);
         }
@@ -1625,7 +1665,10 @@ mod tests {
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
-        assert!(report.codel_drops > 0, "standing queue must shed: {report:?}");
+        assert!(
+            report.codel_drops > 0,
+            "standing queue must shed: {report:?}"
+        );
         // Without a brownout ladder every overload shed is a CoDel drop.
         assert_eq!(report.shed_overload, report.codel_drops);
         // Dropped requests were picked up, never served, zero attempts.
@@ -1677,8 +1720,16 @@ mod tests {
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
-        assert!(report.scale_ups >= 1, "burst must boot: {:?}", report.adapt_events);
-        assert!(report.scale_downs >= 1, "calm must drain: {:?}", report.adapt_events);
+        assert!(
+            report.scale_ups >= 1,
+            "burst must boot: {:?}",
+            report.adapt_events
+        );
+        assert!(
+            report.scale_downs >= 1,
+            "calm must drain: {:?}",
+            report.adapt_events
+        );
         let kinds: Vec<&str> = report.adapt_events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&"scale_up_done"));
         assert!(kinds.contains(&"scale_down_done"));
@@ -1968,15 +2019,16 @@ mod tests {
             report.served_degraded >= 1,
             "quarantine forced degraded service: {report:?}"
         );
-        assert_eq!(report.served_primary + report.served_degraded, report.offered);
+        assert_eq!(
+            report.served_primary + report.served_degraded,
+            report.offered
+        );
         // Audit trail: the quarantine precedes its repair, same region.
         let kinds: Vec<&str> = report.integrity_events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec!["quarantine", "repair"]);
         assert_eq!(report.integrity_events[0].detail, 0.0);
         assert_eq!(report.integrity_events[1].detail, 0.0);
-        assert!(
-            report.integrity_events[0].at_us <= report.integrity_events[1].at_us
-        );
+        assert!(report.integrity_events[0].at_us <= report.integrity_events[1].at_us);
         // After the repair lands, later responses are primary again.
         let last = report.responses.iter().max_by_key(|r| r.finish_us).unwrap();
         assert_eq!(last.outcome, FleetOutcome::ServedPrimary, "{report:?}");

@@ -107,10 +107,7 @@ fn configured() -> usize {
 /// [`with_threads`] override if one is active, else the process-global
 /// `QT_THREADS` configuration. Always ≥ 1.
 pub fn threads() -> usize {
-    OVERRIDE
-        .with(|o| o.get())
-        .unwrap_or_else(configured)
-        .max(1)
+    OVERRIDE.with(|o| o.get()).unwrap_or_else(configured).max(1)
 }
 
 /// Run `f` with the pool size pinned to `n` on the current thread.
@@ -219,7 +216,10 @@ pub fn parallel_map_slices<T: Sync, R: Send>(
                 s.spawn(move || in_scope(scope, || (lo..hi).map(run).collect::<Vec<R>>()))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker"))
+            .collect()
     });
     let mut all = Vec::with_capacity(nchunks);
     for part in out.drain(..) {
@@ -317,7 +317,10 @@ pub fn parallel_for_parts_mut<T: Send, R: Send>(
                 })
             }));
         }
-        handles.into_iter().map(|h| h.join().expect("worker")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker"))
+            .collect()
     });
     let mut all = Vec::with_capacity(nparts);
     for p in out.drain(..) {

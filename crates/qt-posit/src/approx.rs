@@ -18,7 +18,7 @@
 //! `*_f64` variants run the same bit-level pipeline on `f64` endpoints for
 //! plotting and reference use.
 
-use crate::{P8E0, P8E1, Posit};
+use crate::{Posit, P8E0, P8E1};
 
 /// Fast sigmoid on an es = 0 posit: `(bits XOR signmask) >> 2` (§3.3).
 ///
@@ -187,7 +187,6 @@ impl Default for ExpApprox {
         Self::PAPER_BEST
     }
 }
-
 
 #[cfg(test)]
 mod tests {

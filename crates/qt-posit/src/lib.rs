@@ -267,7 +267,9 @@ impl<const N: u32, const ES: u32> Posit<N, ES> {
     /// `0, minpos, …, maxpos, -maxpos, …, -minpos` (useful for exhaustive
     /// tests; 255 values for `N = 8`).
     pub fn all_finite() -> impl Iterator<Item = Self> {
-        (0..(1u32 << N)).map(|b| Self::from_bits(b as u16)).filter(|p| !p.is_nar())
+        (0..(1u32 << N))
+            .map(|b| Self::from_bits(b as u16))
+            .filter(|p| !p.is_nar())
     }
 
     /// Total ordering of posit codes: NaR first, then values in increasing
@@ -293,7 +295,11 @@ fn decode_fields(code: u16, n: u32, es: u32) -> (i32, u64, u32) {
     while m < body_len && ((body >> (body_len - 1 - m)) & 1) == first {
         m += 1;
     }
-    let k: i32 = if first == 1 { m as i32 - 1 } else { -(m as i32) };
+    let k: i32 = if first == 1 {
+        m as i32 - 1
+    } else {
+        -(m as i32)
+    };
     // Bits consumed: the run plus (if any bits remain) the terminating bit.
     let mut idx = body_len.saturating_sub(m); // bits remaining after run
     idx = idx.saturating_sub(1);
@@ -340,9 +346,7 @@ fn round_magnitude<const N: u32, const ES: u32>(a: f64) -> u16 {
     } else {
         (ext << (code_bits - ext_len)) as u16
     };
-    let floor_code = floor_code
-        .min(((1u32 << code_bits) - 1) as u16)
-        .max(1);
+    let floor_code = floor_code.min(((1u32 << code_bits) - 1) as u16).max(1);
 
     let v_lo = Posit::<N, ES>::from_bits(floor_code).to_f64();
     if v_lo == a {
@@ -574,7 +578,7 @@ mod tests {
     fn underflow_policies_section_3_4() {
         let minpos = P8E1::minpos(); // 2^-12
         let half = minpos / 2.0; // 2^-13
-        // Standard posit: never round a non-zero to zero.
+                                 // Standard posit: never round a non-zero to zero.
         assert_eq!(
             P8E1::quantize_with(half / 4.0, UnderflowPolicy::Standard),
             minpos

@@ -139,7 +139,11 @@ fn to_int_scale<const N: u32, const ES: u32>(p: Posit<N, ES>) -> (bool, u64, i32
     let frac52 = bits & ((1u64 << 52) - 1);
     // Posit significands have at most FMAX bits; shift the f64 mantissa
     // down to the minimal integer representation.
-    let tz = if frac52 == 0 { 52 } else { frac52.trailing_zeros().min(52) };
+    let tz = if frac52 == 0 {
+        52
+    } else {
+        frac52.trailing_zeros().min(52)
+    };
     let int = ((1u64 << 52) | frac52) >> tz;
     (neg, int, be - (52 - tz as i32))
 }
@@ -244,9 +248,17 @@ mod tests {
 
     #[test]
     fn fused_dot_matches_f64_reference() {
-        let xs: Vec<P8E1> = (0..32).map(|i| P8E1::from_f64(0.1 * i as f64 - 1.5)).collect();
-        let ys: Vec<P8E1> = (0..32).map(|i| P8E1::from_f64(0.07 * i as f64 - 1.0)).collect();
-        let exact: f64 = xs.iter().zip(&ys).map(|(a, b)| a.to_f64() * b.to_f64()).sum();
+        let xs: Vec<P8E1> = (0..32)
+            .map(|i| P8E1::from_f64(0.1 * i as f64 - 1.5))
+            .collect();
+        let ys: Vec<P8E1> = (0..32)
+            .map(|i| P8E1::from_f64(0.07 * i as f64 - 1.0))
+            .collect();
+        let exact: f64 = xs
+            .iter()
+            .zip(&ys)
+            .map(|(a, b)| a.to_f64() * b.to_f64())
+            .sum();
         let fused = FusedDot::dot(&xs, &ys).to_f64();
         assert_eq!(fused, P8E1::quantize(exact));
     }

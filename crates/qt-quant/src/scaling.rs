@@ -82,11 +82,7 @@ impl AmaxTracker {
     /// Predicted amax for this step: the maximum of the recorded history,
     /// or `None` with no history.
     pub fn predicted_amax(&self, name: &str) -> Option<f32> {
-        self.history
-            .get(name)?
-            .iter()
-            .copied()
-            .reduce(f32::max)
+        self.history.get(name)?.iter().copied().reduce(f32::max)
     }
 
     /// Power-of-two scale factor mapping the predicted amax onto the

@@ -367,9 +367,6 @@ mod tests {
         let mut inj = BitFlipInjector::new(5);
         let (corrupted, report) = corrupt_model_exact(&model, codec, budget, &mut inj);
         assert_eq!(report.bits_flipped, budget);
-        assert_eq!(
-            corrupted.params.num_elements(),
-            model.params.num_elements()
-        );
+        assert_eq!(corrupted.params.num_elements(), model.params.num_elements());
     }
 }

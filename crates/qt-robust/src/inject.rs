@@ -134,7 +134,12 @@ impl BitFlipInjector {
     }
 
     /// Flip each bit of each code independently with probability `rate`.
-    pub fn corrupt_codes(&mut self, codes: &mut [u16], codec: CodeFormat, rate: f64) -> InjectionReport {
+    pub fn corrupt_codes(
+        &mut self,
+        codes: &mut [u16],
+        codec: CodeFormat,
+        rate: f64,
+    ) -> InjectionReport {
         self.corrupt_codes_logged(codes, codec, rate).0
     }
 
@@ -160,7 +165,10 @@ impl BitFlipInjector {
                 if self.rng.gen_bool(rate) {
                     *code ^= 1 << b;
                     report.bits_flipped += 1;
-                    flips.push(FlipPos { word: i, bit: b as u8 });
+                    flips.push(FlipPos {
+                        word: i,
+                        bit: b as u8,
+                    });
                     hit = true;
                 }
             }
@@ -212,7 +220,10 @@ impl BitFlipInjector {
             let pos = self.rng.gen_range(0..codes.len() * bits);
             let (word, bit) = (pos / bits, pos % bits);
             codes[word] ^= 1 << bit;
-            flips.push(FlipPos { word, bit: bit as u8 });
+            flips.push(FlipPos {
+                word,
+                bit: bit as u8,
+            });
             hit[word] = true;
         }
         for (i, &h) in hit.iter().enumerate() {
@@ -347,7 +358,9 @@ mod tests {
     #[test]
     fn logged_positions_match_actual_flips() {
         let codec = CodeFormat::new(ElemFormat::E4M3).unwrap();
-        let original: Vec<u16> = (0..512).map(|i| codec.encode(i as f32 * 0.03 - 7.0)).collect();
+        let original: Vec<u16> = (0..512)
+            .map(|i| codec.encode(i as f32 * 0.03 - 7.0))
+            .collect();
         let mut codes = original.clone();
         let mut inj = BitFlipInjector::new(42);
         let (report, flips) = inj.corrupt_codes_logged(&mut codes, codec, 0.01);

@@ -98,7 +98,9 @@ impl CrashSchedule {
         let mut windows = Vec::new();
         let mut t = 0u64;
         loop {
-            let ttf = rng.gen_range(mtbf_us / 2..mtbf_us.saturating_mul(3) / 2 + 1).max(1);
+            let ttf = rng
+                .gen_range(mtbf_us / 2..mtbf_us.saturating_mul(3) / 2 + 1)
+                .max(1);
             let down_at = t.saturating_add(ttf);
             if down_at >= horizon_us {
                 break;

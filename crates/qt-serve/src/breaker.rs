@@ -356,7 +356,11 @@ mod tests {
         assert_eq!(b.tick_open(102), BreakerState::Open);
         assert_eq!(b.tick_open(103), BreakerState::Open);
         assert_eq!(b.tick_open(104), BreakerState::HalfOpen);
-        assert_eq!(b.tick_open(105), BreakerState::HalfOpen, "tick is Open-only");
+        assert_eq!(
+            b.tick_open(105),
+            BreakerState::HalfOpen,
+            "tick is Open-only"
+        );
         b.on_primary_outcome(&clean(), 106);
         b.on_primary_outcome(&clean(), 107);
         assert_eq!(b.state(), BreakerState::Closed, "probes re-earn service");

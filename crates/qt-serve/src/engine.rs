@@ -201,7 +201,10 @@ impl Engine {
         block_budget: u64,
     ) -> Attempt {
         let (faulted, bits_flipped) = if primary {
-            match self.fault.corrupt_for_request(&self.model, req.id, attempt_idx) {
+            match self
+                .fault
+                .corrupt_for_request(&self.model, req.id, attempt_idx)
+            {
                 Some((m, r)) => (Some(m), r.bits_flipped),
                 None => (None, 0),
             }
@@ -388,8 +391,14 @@ impl Engine {
         };
         let ep = self.episode(req, spec, route, record, None);
         let (outcome, label) = match ep.end {
-            EpisodeEnd::Served { primary: true, label } => (OutcomeKind::ServedPrimary, label),
-            EpisodeEnd::Served { primary: false, label } => (OutcomeKind::ServedDegraded, label),
+            EpisodeEnd::Served {
+                primary: true,
+                label,
+            } => (OutcomeKind::ServedPrimary, label),
+            EpisodeEnd::Served {
+                primary: false,
+                label,
+            } => (OutcomeKind::ServedDegraded, label),
             EpisodeEnd::Miss => (OutcomeKind::DeadlineMiss, None),
             EpisodeEnd::FailoverCorrupt | EpisodeEnd::FailoverCrash => {
                 unreachable!("an episode without failover exit or crash boundary cannot leave")
@@ -534,7 +543,8 @@ mod tests {
                     let t = m.params.get(&name);
                     (t.len(), t.shape().to_vec())
                 };
-                m.params.insert(name, Tensor::from_vec(vec![f32::NAN; len], &shape));
+                m.params
+                    .insert(name, Tensor::from_vec(vec![f32::NAN; len], &shape));
             }
             let report = InjectionReport {
                 bits_flipped: 1,
@@ -601,7 +611,10 @@ mod tests {
         // The same pass with a deadline before the crash misses instead.
         let early = request(5, &model).with_deadline((blocks - 2) * per_block);
         let ep = engine.episode(&early, cut, |_| Route::Primary, |_, _| {}, None);
-        assert_eq!((ep.end, ep.end_us), (EpisodeEnd::Miss, (blocks - 2) * per_block));
+        assert_eq!(
+            (ep.end, ep.end_us),
+            (EpisodeEnd::Miss, (blocks - 2) * per_block)
+        );
         assert!(!ep.crash_interrupted);
 
         // An outage before the first block fits ends the episode at the
@@ -611,7 +624,10 @@ mod tests {
             ..spec(&engine)
         };
         let ep = engine.episode(&req, at_pickup, |_| Route::Primary, |_, _| {}, None);
-        assert_eq!((ep.end, ep.end_us), (EpisodeEnd::FailoverCrash, per_block / 2));
+        assert_eq!(
+            (ep.end, ep.end_us),
+            (EpisodeEnd::FailoverCrash, per_block / 2)
+        );
         assert!(!ep.crash_interrupted);
         assert_eq!(ep.attempts(), 0);
     }
@@ -620,7 +636,10 @@ mod tests {
     fn breaker_trip_takes_the_failover_exit_only_when_offered() {
         let model = tiny_model();
         let cfg = ServeConfig::default();
-        assert!(cfg.retry.max_attempts > 1, "the trip must precede the budget");
+        assert!(
+            cfg.retry.max_attempts > 1,
+            "the trip must precede the budget"
+        );
         let engine = Engine::new(model.clone(), &cfg, Box::new(PoisonEveryRead));
         let req = request(6, &model);
         let full_pass = engine.full_pass_us();
@@ -641,7 +660,10 @@ mod tests {
         };
 
         let left = run(true);
-        assert_eq!((left.end, left.end_us), (EpisodeEnd::FailoverCorrupt, full_pass));
+        assert_eq!(
+            (left.end, left.end_us),
+            (EpisodeEnd::FailoverCorrupt, full_pass)
+        );
         assert_eq!((left.attempts(), left.flagged()), (1, 1));
         assert_eq!(left.backoff_us, 0, "leaves before backing off");
 

@@ -157,7 +157,13 @@ mod tests {
         let (item, why) = q.try_push(3).unwrap_err();
         assert_eq!(
             (item, why),
-            (3, Rejected::QueueFull { depth: 2, capacity: 2 })
+            (
+                3,
+                Rejected::QueueFull {
+                    depth: 2,
+                    capacity: 2
+                }
+            )
         );
         assert_eq!(why.to_string(), "queue full (2/2)");
         assert_eq!(q.max_depth(), 2);

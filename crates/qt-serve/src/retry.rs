@@ -59,7 +59,10 @@ impl Backoff {
     pub(crate) fn next_delay_us(&mut self) -> u64 {
         let base = self.policy.base_us.max(1);
         let hi = self.prev_us.saturating_mul(3).max(base + 1);
-        let d = self.rng.gen_range(base..hi).min(self.policy.cap_us.max(base));
+        let d = self
+            .rng
+            .gen_range(base..hi)
+            .min(self.policy.cap_us.max(base));
         self.prev_us = d;
         d
     }
@@ -82,7 +85,10 @@ mod tests {
         let db: Vec<u64> = (0..16).map(|_| b.next_delay_us()).collect();
         assert_eq!(da, db, "same seed replays the same schedule");
         for &d in &da {
-            assert!((p.base_us..=p.cap_us).contains(&d), "delay {d} out of bounds");
+            assert!(
+                (p.base_us..=p.cap_us).contains(&d),
+                "delay {d} out of bounds"
+            );
         }
         let mut c = Backoff::new(p, 8);
         let dc: Vec<u64> = (0..16).map(|_| c.next_delay_us()).collect();

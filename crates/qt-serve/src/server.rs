@@ -207,7 +207,11 @@ mod tests {
             .filter(|r| r.outcome == OutcomeKind::ShedQueueFull)
             .count() as u64;
         assert_eq!(recorded_shed, shed);
-        assert_eq!(served + recorded_shed, offered, "no deadline set: all else serves");
+        assert_eq!(
+            served + recorded_shed,
+            offered,
+            "no deadline set: all else serves"
+        );
         // Every response id is unique and in range.
         let mut ids: Vec<u64> = stats.responses.iter().map(|r| r.id).collect();
         ids.dedup();
@@ -244,7 +248,10 @@ mod tests {
         })
         .join();
         assert!(shared.breaker.lock().is_err(), "breaker lock is poisoned");
-        assert!(shared.responses.lock().is_err(), "response lock is poisoned");
+        assert!(
+            shared.responses.lock().is_err(),
+            "response lock is poisoned"
+        );
         // A fresh worker must still serve through the poisoned locks.
         shared
             .queue
@@ -271,7 +278,13 @@ mod tests {
         let mut rejected = 0u64;
         for id in 0..offered {
             if let Err(e) = server.submit(request(id, vocab)) {
-                assert!(matches!(e, Rejected::QueueFull { depth: 1, capacity: 1 }));
+                assert!(matches!(
+                    e,
+                    Rejected::QueueFull {
+                        depth: 1,
+                        capacity: 1
+                    }
+                ));
                 rejected += 1;
             }
         }

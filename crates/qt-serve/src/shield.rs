@@ -44,7 +44,11 @@ pub fn shield_model(model: &Model, format: ElemFormat) -> Option<Shield> {
 /// [`shield_model`] protected. `None` for `Fp32`.
 pub fn pristine_codes(model: &Model, format: ElemFormat, name: &str) -> Option<Vec<u16>> {
     let fq = FakeQuant::new(format);
-    Some(fq.quantize_to_codes(model.params.get(name))?.codes().to_vec())
+    Some(
+        fq.quantize_to_codes(model.params.get(name))?
+            .codes()
+            .to_vec(),
+    )
 }
 
 /// Repair payload addressed by region index within `engine`'s model, in

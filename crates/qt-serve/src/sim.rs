@@ -102,7 +102,10 @@ impl ServeReport {
     /// of the four outcome counters.
     pub fn reconciles(&self) -> bool {
         self.offered
-            == self.served_primary + self.served_degraded + self.shed_queue_full + self.deadline_miss
+            == self.served_primary
+                + self.served_degraded
+                + self.shed_queue_full
+                + self.deadline_miss
     }
 
     /// Served fraction of offered load.
@@ -411,10 +414,17 @@ mod tests {
             }
         }
         let mut q = EventQueue::default();
-        for (at, rank, name) in [(5, 1, "a"), (5, 0, "b"), (3, 1, "c"), (5, 1, "d"), (5, 0, "e")] {
+        for (at, rank, name) in [
+            (5, 1, "a"),
+            (5, 0, "b"),
+            (3, 1, "c"),
+            (5, 1, "d"),
+            (5, 0, "e"),
+        ] {
             q.push(at, E(rank, name));
         }
-        let order: Vec<(u64, &str)> = std::iter::from_fn(|| q.pop().map(|(at, e)| (at, e.1))).collect();
+        let order: Vec<(u64, &str)> =
+            std::iter::from_fn(|| q.pop().map(|(at, e)| (at, e.1))).collect();
         assert_eq!(order, [(3, "c"), (5, "b"), (5, "e"), (5, "a"), (5, "d")]);
     }
 

@@ -152,7 +152,9 @@ impl HealthSnapshot {
         let unhealthy_rate = v
             .get("unhealthy_rate")
             .and_then(Value::as_f64)
-            .ok_or_else(|| SnapshotError::Corrupt("missing/invalid field \"unhealthy_rate\"".to_string()))?;
+            .ok_or_else(|| {
+                SnapshotError::Corrupt("missing/invalid field \"unhealthy_rate\"".to_string())
+            })?;
         Ok(Self {
             breaker_state: state,
             breaker_trips: u64_field("breaker_trips")?,

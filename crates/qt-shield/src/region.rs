@@ -98,7 +98,9 @@ impl EccRegion {
             Decode::Clean => {
                 self.dirty.remove(&(word as u32));
             }
-            Decode::Corrected { word: w, check: c, .. } => {
+            Decode::Corrected {
+                word: w, check: c, ..
+            } => {
                 self.words[word] = w;
                 self.check[word] = c;
                 self.dirty.remove(&(word as u32));
@@ -230,7 +232,13 @@ mod tests {
         r.inject_flip(2, 37);
         assert_eq!(r.dirty_words(), 1);
         // Transient read correction does not rewrite storage.
-        assert_eq!(r.verify_reads(), ReadCheck { corrected: 1, uncorrectable: false });
+        assert_eq!(
+            r.verify_reads(),
+            ReadCheck {
+                corrected: 1,
+                uncorrectable: false
+            }
+        );
         assert!(!r.matches_exact(&c));
         assert_eq!(r.codes(), c, "read path sees corrected codes");
         // Scrub corrects in place.
@@ -261,7 +269,11 @@ mod tests {
         r.inject_flip(4, 55);
         assert_eq!(r.scrub_word(4), Decode::Uncorrectable);
         assert!(r.is_quarantined());
-        assert_eq!(r.silent_errors(&c), 0, "quarantined corruption is flagged, not silent");
+        assert_eq!(
+            r.silent_errors(&c),
+            0,
+            "quarantined corruption is flagged, not silent"
+        );
         r.repair_from(&c);
         assert!(!r.is_quarantined());
         assert!(r.matches_exact(&c));
@@ -278,7 +290,9 @@ mod tests {
         let decoded = {
             // Bypass quarantine: decode the raw words directly.
             let (w, _) = r.raw(4);
-            (0..CODES_PER_WORD).map(|k| (w >> (16 * k)) as u16).collect::<Vec<_>>()
+            (0..CODES_PER_WORD)
+                .map(|k| (w >> (16 * k)) as u16)
+                .collect::<Vec<_>>()
         };
         assert_ne!(&decoded[..], &c[16..20], "raw storage really is corrupt");
     }

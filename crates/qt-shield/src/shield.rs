@@ -146,7 +146,11 @@ impl Shield {
         };
         let local = (word - self.offsets[region]) as usize;
         self.inject(region, local, bit);
-        FlipFix { region, word: local, bit }
+        FlipFix {
+            region,
+            word: local,
+            bit,
+        }
     }
 
     /// Flip one bit of one region's stored codeword.
@@ -197,7 +201,11 @@ impl Shield {
                 Decode::Clean => {}
                 Decode::Corrected { bit, .. } => {
                     self.stats.scrub_corrected += 1;
-                    let fix = FlipFix { region: r, word: w, bit };
+                    let fix = FlipFix {
+                        region: r,
+                        word: w,
+                        bit,
+                    };
                     self.corrected_log.push(fix);
                     out.corrected.push(fix);
                 }
@@ -326,8 +334,16 @@ mod tests {
         assert_eq!(
             fixed,
             vec![
-                FlipFix { region: 1, word: 2, bit: 17 },
-                FlipFix { region: 2, word: 0, bit: 66 },
+                FlipFix {
+                    region: 1,
+                    word: 2,
+                    bit: 17
+                },
+                FlipFix {
+                    region: 2,
+                    word: 0,
+                    bit: 66
+                },
             ]
         );
         assert_eq!(s.stats().scrub_corrected, 2);

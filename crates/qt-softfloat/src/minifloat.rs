@@ -282,10 +282,15 @@ impl<S: FloatSpec> Minifloat<S> {
             } else {
                 f64::NAN
             }
-        } else if S::FINITE_ONLY && bits & !( (1u16) << (S::EXP_BITS + S::MAN_BITS) ) == Self::nan_bits() {
+        } else if S::FINITE_ONLY
+            && bits & !((1u16) << (S::EXP_BITS + S::MAN_BITS)) == Self::nan_bits()
+        {
             f64::NAN
         } else {
-            libm::ldexp((man + (1 << S::MAN_BITS)) as f64, exp - bias - S::MAN_BITS as i32)
+            libm::ldexp(
+                (man + (1 << S::MAN_BITS)) as f64,
+                exp - bias - S::MAN_BITS as i32,
+            )
         };
         if sign == 1 {
             -a

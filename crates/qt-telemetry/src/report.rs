@@ -217,11 +217,15 @@ mod tests {
         let mut session = TraceSession::new("t");
         export_to_trace(&s, &mut session);
         assert_eq!(
-            session.metrics().counter_value("telemetry.trace_spans", &[]),
+            session
+                .metrics()
+                .counter_value("telemetry.trace_spans", &[]),
             s.book().span_count() as u64
         );
         assert_eq!(
-            session.metrics().counter_value("telemetry.flight_dumps", &[]),
+            session
+                .metrics()
+                .counter_value("telemetry.flight_dumps", &[]),
             1
         );
     }

@@ -229,11 +229,7 @@ impl TraceBook {
     /// (extends the root span to cover every recorded child).
     pub fn end(&mut self, req_id: u64, at_us: u64, outcome: &str) {
         if let Some(t) = self.traces.get_mut(&req_id) {
-            let max_child_end = t.spans[1..]
-                .iter()
-                .map(|s| s.end_us)
-                .max()
-                .unwrap_or(at_us);
+            let max_child_end = t.spans[1..].iter().map(|s| s.end_us).max().unwrap_or(at_us);
             t.spans[0].end_us = at_us.max(max_child_end).max(t.spans[0].start_us);
             let min_child_start = t.spans[1..].iter().map(|s| s.start_us).min();
             if let Some(lo) = min_child_start {
@@ -297,7 +293,15 @@ mod tests {
             .span(5, None, "dispatch", Some(0), 100, 100, vec![])
             .unwrap();
         let a1 = b
-            .span(5, None, "attempt", Some(0), 100, 300, vec![("flagged".into(), 0.0)])
+            .span(
+                5,
+                None,
+                "attempt",
+                Some(0),
+                100,
+                300,
+                vec![("flagged".into(), 0.0)],
+            )
             .unwrap();
         assert_eq!(d, 1);
         assert_eq!(a1, 2);

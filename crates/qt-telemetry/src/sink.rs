@@ -311,12 +311,7 @@ impl TelemetrySink {
     ) {
         self.touch(at_us);
         self.gauge(Scope::Replica(replica), "breaker_state", at_us, to_code);
-        self.counter(
-            Scope::Replica(replica),
-            &format!("breaker.{to}"),
-            at_us,
-            1,
-        );
+        self.counter(Scope::Replica(replica), &format!("breaker.{to}"), at_us, 1);
         self.black_box(
             replica,
             at_us,
@@ -506,7 +501,12 @@ impl TelemetrySink {
         }
         self.touch(at_us);
         self.counter(Scope::Fleet, "scrub.read_corrected", at_us, corrected);
-        self.counter(Scope::Replica(replica), "scrub.read_corrected", at_us, corrected);
+        self.counter(
+            Scope::Replica(replica),
+            "scrub.read_corrected",
+            at_us,
+            corrected,
+        );
     }
 
     /// A double-bit detection quarantined region `region` on `replica`;
@@ -563,8 +563,8 @@ impl TelemetrySink {
             let path = dir.join(&name);
             dump.file = Some(name);
             let doc = serde_json::to_string_pretty(&dump.to_json()).unwrap_or_default();
-            if let Err(e) = std::fs::create_dir_all(dir)
-                .and_then(|_| qt_ckpt::atomic_write_str(&path, &doc))
+            if let Err(e) =
+                std::fs::create_dir_all(dir).and_then(|_| qt_ckpt::atomic_write_str(&path, &doc))
             {
                 eprintln!("qt-telemetry: flight dump {} failed: {e}", path.display());
             }
@@ -633,7 +633,9 @@ mod tests {
         s.attempt(1, 0, 100, 600, false, true);
         s.outcome(600, 1, Some(0), "served_primary", true, false, 500);
         assert_eq!(
-            s.series_get(Scope::Fleet, "served").unwrap().counter_total(),
+            s.series_get(Scope::Fleet, "served")
+                .unwrap()
+                .counter_total(),
             1
         );
         assert_eq!(

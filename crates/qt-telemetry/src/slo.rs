@@ -224,7 +224,10 @@ impl SloTracker {
 
     /// Record one event at `at_us`.
     pub fn observe(&mut self, at_us: u64, good: bool) {
-        let e = self.buckets.entry(at_us / self.interval_us).or_insert((0, 0));
+        let e = self
+            .buckets
+            .entry(at_us / self.interval_us)
+            .or_insert((0, 0));
         if good {
             e.0 += 1;
             self.total_good += 1;
@@ -400,9 +403,7 @@ impl SloEngine {
 
     /// `true` if any rule of any objective is currently firing.
     pub fn any_firing(&self) -> bool {
-        self.trackers
-            .iter()
-            .any(|t| t.firing().iter().any(|&f| f))
+        self.trackers.iter().any(|t| t.firing().iter().any(|&f| f))
     }
 
     /// Count of *fire* transitions (ignores resolves).

@@ -198,9 +198,7 @@ pub fn gemm_prepacked(a: &[f32], m: usize, k: usize, n: usize, pack: &PackedB, o
     }
     let kernel = crate::kernels::active().kernel();
     let row_blocks = m.div_ceil(MC);
-    let part_lens: Vec<usize> = (0..row_blocks)
-        .map(|rb| MC.min(m - rb * MC) * n)
-        .collect();
+    let part_lens: Vec<usize> = (0..row_blocks).map(|rb| MC.min(m - rb * MC) * n).collect();
     run_parts(&mut o[..m * n], &part_lens, m * k * n, |rb, opart| {
         let i0 = rb * MC;
         let rows = MC.min(m - i0);
@@ -218,7 +216,9 @@ mod tests {
         let n = 70;
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.5 - 100.0).collect();
         let p1 = PackedB::pack(&b, 0, k, n);
-        let p2 = PackedB::pack_with(k, n, |kk, row| row.copy_from_slice(&b[kk * n..(kk + 1) * n]));
+        let p2 = PackedB::pack_with(k, n, |kk, row| {
+            row.copy_from_slice(&b[kk * n..(kk + 1) * n])
+        });
         assert_eq!(p1.data, p2.data);
         assert_eq!(p1.tile_off, p2.tile_off);
         assert_eq!(p1.row_finite, p2.row_finite);

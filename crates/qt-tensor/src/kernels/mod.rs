@@ -49,7 +49,8 @@ mod sse2;
 /// with mul-then-add as two separate roundings (no FMA) and `k` ascending
 /// per element. `tile` is a packed `[arow.len()][nr]` block; `nr <= NR`;
 /// `finite.len() == arow.len()`.
-pub type MicroKernel = fn(arow: &[f32], tile: &[f32], finite: &[bool], acc: &mut [f32; NR], nr: usize);
+pub type MicroKernel =
+    fn(arow: &[f32], tile: &[f32], finite: &[bool], acc: &mut [f32; NR], nr: usize);
 
 /// Which GEMM inner-loop implementation to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord)]
@@ -198,7 +199,13 @@ pub fn with_backend<R>(b: GemmBackend, f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
 
-    fn run(kernel: MicroKernel, arow: &[f32], tile: &[f32], finite: &[bool], nr: usize) -> [f32; NR] {
+    fn run(
+        kernel: MicroKernel,
+        arow: &[f32],
+        tile: &[f32],
+        finite: &[bool],
+        nr: usize,
+    ) -> [f32; NR] {
         let mut acc = [0.0f32; NR];
         // Non-zero initial accumulator: kernels must accumulate, not assign.
         for (j, a) in acc.iter_mut().enumerate() {

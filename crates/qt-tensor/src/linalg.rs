@@ -34,13 +34,11 @@ impl Tensor {
             self.shape(),
             rhs.shape()
         );
-        let (m, ka) = (
-            self.shape()[self.ndim() - 2],
-            self.shape()[self.ndim() - 1],
-        );
+        let (m, ka) = (self.shape()[self.ndim() - 2], self.shape()[self.ndim() - 1]);
         let (kb, n) = (rhs.shape()[rhs.ndim() - 2], rhs.shape()[rhs.ndim() - 1]);
         assert_eq!(
-            ka, kb,
+            ka,
+            kb,
             "matmul contraction mismatch: {:?} x {:?}",
             self.shape(),
             rhs.shape()

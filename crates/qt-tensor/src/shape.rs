@@ -10,8 +10,16 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Vec<usize> {
     let nd = a.len().max(b.len());
     let mut out = vec![0usize; nd];
     for i in 0..nd {
-        let da = if i < nd - a.len() { 1 } else { a[i - (nd - a.len())] };
-        let db = if i < nd - b.len() { 1 } else { b[i - (nd - b.len())] };
+        let da = if i < nd - a.len() {
+            1
+        } else {
+            a[i - (nd - a.len())]
+        };
+        let db = if i < nd - b.len() {
+            1
+        } else {
+            b[i - (nd - b.len())]
+        };
         out[i] = match (da, db) {
             (x, y) if x == y => x,
             (1, y) => y,

@@ -149,6 +149,9 @@ mod tests {
         let s = TensorStats::of(&t);
         assert_eq!(s.log2_quantile(0.0), Some(-2));
         assert_eq!(s.log2_quantile(1.0), Some(1));
-        assert_eq!(TensorStats::of(&Tensor::zeros(&[3])).log2_quantile(0.5), None);
+        assert_eq!(
+            TensorStats::of(&Tensor::zeros(&[3])).log2_quantile(0.5),
+            None
+        );
     }
 }

@@ -192,7 +192,10 @@ impl Tensor {
         let mut shape = new_shape.to_vec();
         if let Some(pos) = shape.iter().position(|&d| d == usize::MAX) {
             let known: usize = shape.iter().filter(|&&d| d != usize::MAX).product();
-            assert!(known > 0 && self.len().is_multiple_of(known), "cannot infer axis");
+            assert!(
+                known > 0 && self.len().is_multiple_of(known),
+                "cannot infer axis"
+            );
             shape[pos] = self.len() / known;
         }
         assert_eq!(

@@ -166,7 +166,9 @@ pub fn trace_report(session: &TraceSession, k: usize) -> String {
     let mut gemms: Vec<_> = session.gemm_sites().iter().collect();
     gemms.sort_by(|a, b| b.1.cycles.cmp(&a.1.cycles).then(a.0.cmp(b.0)));
     let total_gemm: u64 = gemms.iter().map(|(_, g)| g.cycles).sum();
-    out.push_str(&format!("-- top {k} GEMM sites by simulated cycles (total {total_gemm}) --\n"));
+    out.push_str(&format!(
+        "-- top {k} GEMM sites by simulated cycles (total {total_gemm}) --\n"
+    ));
     for (name, g) in gemms.iter().take(k) {
         out.push_str(&format!(
             "{:>12} cyc  {:>5.1}% util  x{:<5} {}\n",
@@ -201,7 +203,12 @@ pub fn trace_report(session: &TraceSession, k: usize) -> String {
         out.push_str(&format!(
             "{:>8.3}% sat  {:>8.3}% uflow  {:>12} elems  amax {:<10.4e} {}\n",
             100.0 * q.saturation_rate(),
-            100.0 * if q.elements == 0 { 0.0 } else { q.underflowed as f64 / q.elements as f64 },
+            100.0
+                * if q.elements == 0 {
+                    0.0
+                } else {
+                    q.underflowed as f64 / q.elements as f64
+                },
             q.elements,
             q.amax_max,
             name
@@ -277,9 +284,7 @@ mod tests {
         assert_eq!(cyc[2]["name"], "enc.0.softmax");
         assert_eq!(cyc[2]["ts"].as_f64(), Some(100.0));
         // wall track carries the quant instant
-        assert!(events
-            .iter()
-            .any(|e| e["ph"] == "i" && e["cat"] == "quant"));
+        assert!(events.iter().any(|e| e["ph"] == "i" && e["cat"] == "quant"));
     }
 
     #[test]

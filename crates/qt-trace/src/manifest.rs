@@ -173,8 +173,7 @@ impl RunManifest {
     /// Serialize the manifest, pretty-printed with a trailing newline —
     /// the exact bytes `--manifest-out` writes.
     pub fn render(session: &TraceSession) -> String {
-        let mut s =
-            serde_json::to_string_pretty(&Self::value(session)).expect("serializable");
+        let mut s = serde_json::to_string_pretty(&Self::value(session)).expect("serializable");
         s.push('\n');
         s
     }
@@ -230,8 +229,14 @@ mod tests {
         assert_eq!(v["version"].as_u64(), Some(MANIFEST_VERSION));
         assert_eq!(v["meta"]["scheme"], "posit8");
         assert_eq!(v["counts"]["spans"].as_u64(), Some(2));
-        assert_eq!(v["quant_sites"]["enc.0.q.in"]["saturated"].as_u64(), Some(1));
-        assert_eq!(v["gemm_sites"]["enc.0.q"]["utilization"].as_f64(), Some(0.5));
+        assert_eq!(
+            v["quant_sites"]["enc.0.q.in"]["saturated"].as_u64(),
+            Some(1)
+        );
+        assert_eq!(
+            v["gemm_sites"]["enc.0.q"]["utilization"].as_f64(),
+            Some(0.5)
+        );
         assert_eq!(v["scaler"][0]["event"], "backoff");
         assert_eq!(v["metrics"]["counters"]["steps"].as_u64(), Some(7));
     }

@@ -498,10 +498,7 @@ mod tests {
         let _leaked = s.begin("leaked", "block");
         s.end(outer); // closes both
         assert_eq!(s.open_spans(), 0);
-        assert!(s
-            .records()
-            .iter()
-            .all(|r| r.kind == RecordKind::SpanClosed));
+        assert!(s.records().iter().all(|r| r.kind == RecordKind::SpanClosed));
     }
 
     #[test]

@@ -133,16 +133,16 @@ pub fn greedy_decode(
                 continue;
             }
             let row = &logits.data()[bi * v..(bi + 1) * v];
-            let (tok, _) = row
-                .iter()
-                .enumerate()
-                .fold((0usize, f32::NEG_INFINITY), |acc, (i, &x)| {
-                    if x > acc.1 {
-                        (i, x)
-                    } else {
-                        acc
-                    }
-                });
+            let (tok, _) =
+                row.iter()
+                    .enumerate()
+                    .fold((0usize, f32::NEG_INFINITY), |acc, (i, &x)| {
+                        if x > acc.1 {
+                            (i, x)
+                        } else {
+                            acc
+                        }
+                    });
             if tok == tokens::EOS {
                 done[bi] = true;
             } else {

@@ -59,9 +59,9 @@ fn import_slot(blobs: &[TensorBlob]) -> BTreeMap<String, Tensor> {
 }
 
 fn require_scalar(state: &OptState, name: &str) -> Result<u64, CkptError> {
-    state.scalar(name).ok_or_else(|| {
-        CkptError::Malformed(format!("optimizer state missing scalar {name:?}"))
-    })
+    state
+        .scalar(name)
+        .ok_or_else(|| CkptError::Malformed(format!("optimizer state missing scalar {name:?}")))
 }
 
 fn require_scalar_f32(state: &OptState, name: &str) -> Result<f32, CkptError> {
@@ -209,7 +209,9 @@ impl Optimizer for AdamW {
                 .m
                 .entry(name.clone())
                 .or_insert_with(|| Tensor::zeros(g.shape()));
-            *m = m.mul_scalar(self.beta1).add(&g.mul_scalar(1.0 - self.beta1));
+            *m = m
+                .mul_scalar(self.beta1)
+                .add(&g.mul_scalar(1.0 - self.beta1));
             let v = self
                 .v
                 .entry(name.clone())
@@ -286,7 +288,11 @@ impl CheckpointOptimizer for AdamW {
 pub fn clip_global_norm(grads: &mut BTreeMap<String, Tensor>, max_norm: f32) -> f32 {
     let mut sq = 0.0f64;
     for g in grads.values() {
-        sq += g.data().iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
+        sq += g
+            .data()
+            .iter()
+            .map(|&x| (x as f64) * (x as f64))
+            .sum::<f64>();
     }
     let norm = sq.sqrt() as f32;
     if norm > max_norm && norm > 0.0 {

@@ -342,7 +342,9 @@ mod tests {
 
     #[test]
     fn growth_at_max_bound_emits_no_event() {
-        let mut s = LossScaler::new(8.0).with_bounds(1.0, 8.0).with_growth(2.0, 1);
+        let mut s = LossScaler::new(8.0)
+            .with_bounds(1.0, 8.0)
+            .with_growth(2.0, 1);
         s.on_clean_step();
         assert_eq!(s.scale(), 8.0);
         assert!(s.events().is_empty(), "no-op growth is not an event");
@@ -417,7 +419,9 @@ mod tests {
 
     #[test]
     fn bounds_are_respected() {
-        let mut s = LossScaler::new(4.0).with_bounds(2.0, 8.0).with_growth(2.0, 1);
+        let mut s = LossScaler::new(4.0)
+            .with_bounds(2.0, 8.0)
+            .with_growth(2.0, 1);
         s.on_overflow();
         assert_eq!(s.scale(), 2.0);
         s.on_overflow();

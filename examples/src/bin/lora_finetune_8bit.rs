@@ -40,12 +40,11 @@ fn main() {
         "LoRA: {} trainable of {} total parameters ({:.2}%)",
         model.trainable_params(TrainMode::Lora),
         model.params.num_elements(),
-        100.0 * model.trainable_params(TrainMode::Lora) as f64
-            / model.params.num_elements() as f64
+        100.0 * model.trainable_params(TrainMode::Lora) as f64 / model.params.num_elements() as f64
     );
 
-    let scheme = QuantScheme::posit8_approx()
-        .with_scaling(ScalingMode::PerTensorAmax { history: 16 });
+    let scheme =
+        QuantScheme::posit8_approx().with_scaling(ScalingMode::PerTensorAmax { history: 16 });
     println!("fine-tuning with scheme: {}", scheme.describe());
     let mut ft = Trainer::new(
         model,
@@ -57,7 +56,10 @@ fn main() {
         let (batch, labels) = task.batch(chunk);
         let loss = ft.step_classify(&batch, &labels);
         if i % 50 == 0 {
-            println!("  step {i:>4}: loss {loss:.3} (skipped so far: {})", ft.skipped());
+            println!(
+                "  step {i:>4}: loss {loss:.3} (skipped so far: {})",
+                ft.skipped()
+            );
         }
     }
 

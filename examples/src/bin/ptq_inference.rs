@@ -18,7 +18,11 @@ fn main() {
     let task = SpanTask::new(cfg.vocab, 24);
     let mut rng = StdRng::seed_from_u64(7);
 
-    println!("training {} ({} params) on synthetic span extraction…", cfg.name, cfg.param_count());
+    println!(
+        "training {} ({} params) on synthetic span extraction…",
+        cfg.name,
+        cfg.param_count()
+    );
     let model = Model::new(cfg.clone(), TaskHead::Span, &mut rng);
     let mut trainer = Trainer::new(
         model,

@@ -51,7 +51,11 @@ fn main() {
     }
     for x in [0.75f64, 2.0, 3.0, 5.0] {
         let r = fast_reciprocal(P8E1::from_f64(x));
-        println!("1/{x} ≈ {:<8} (exact {:.4}) — pure NOT gates", r.to_f64(), 1.0 / x);
+        println!(
+            "1/{x} ≈ {:<8} (exact {:.4}) — pure NOT gates",
+            r.to_f64(),
+            1.0 / x
+        );
     }
     let exp = ExpApprox::PAPER_BEST;
     for x in [-5.0f64, -3.0, -1.0, -0.25] {

@@ -241,7 +241,10 @@ fn adaptive_surface_is_byte_identical_across_thread_pools() {
     };
     let single = run(1);
     let quad = run(4);
-    assert_eq!(single, quad, "adaptive surface must not depend on QT_THREADS");
+    assert_eq!(
+        single, quad,
+        "adaptive surface must not depend on QT_THREADS"
+    );
 }
 
 /// The overload acceptance claim: under sustained ~4× overload with a
@@ -278,11 +281,7 @@ fn brownout_beats_baseline_shedding_for_paid_tier_under_overload() {
     }
     .requests(model.cfg.vocab);
     let paid_availability = |report: &FleetReport| -> f64 {
-        let paid: Vec<_> = report
-            .responses
-            .iter()
-            .filter(|r| r.user % 4 < 2)
-            .collect();
+        let paid: Vec<_> = report.responses.iter().filter(|r| r.user % 4 < 2).collect();
         assert!(!paid.is_empty());
         paid.iter().filter(|r| r.outcome.is_served()).count() as f64 / paid.len() as f64
     };
@@ -364,9 +363,15 @@ fn env_named_adapt_json_validates() {
             let t = &p["tiers"][tier];
             let offered = t["offered"].as_u64().expect("offered");
             let served = t["served"].as_u64().expect("served");
-            assert!(served <= offered, "{name}/{tier}: served bounded by offered");
+            assert!(
+                served <= offered,
+                "{name}/{tier}: served bounded by offered"
+            );
             let a = t["availability"].as_f64().unwrap_or(-1.0);
-            assert!((0.0..=1.0).contains(&a), "{name}/{tier}: availability in [0,1]");
+            assert!(
+                (0.0..=1.0).contains(&a),
+                "{name}/{tier}: availability in [0,1]"
+            );
         }
         // The audit trail: monotone one-rung-at-a-time ladder walk, and
         // every event timestamped on the virtual clock in order.
@@ -418,7 +423,10 @@ fn env_named_adapt_json_validates() {
                         "{name}: healthy run must keep {k} at zero"
                     );
                 }
-                assert!(events.is_empty(), "{name}: no adapt events on a healthy run");
+                assert!(
+                    events.is_empty(),
+                    "{name}: no adapt events on a healthy run"
+                );
             }
             _ => {}
         }

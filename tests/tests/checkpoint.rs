@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use qt_ckpt::{
-    AmaxState, CheckpointStore, CkptError, Counters, OptState, QuantBlob, ScalerState,
-    TensorBlob, TrainState,
+    AmaxState, CheckpointStore, CkptError, Counters, OptState, QuantBlob, ScalerState, TensorBlob,
+    TrainState,
 };
 use qt_datagen::{ClassifyKind, ClassifyTask};
 use qt_quant::{ElemFormat, QuantScheme};
@@ -52,14 +52,8 @@ fn rich_state(values: &[f32], fmt: ElemFormat) -> TrainState {
         }],
         opt: OptState {
             kind: "adamw".into(),
-            scalars: vec![
-                ("lr".into(), 2e-3f32.to_bits() as u64),
-                ("t".into(), 9),
-            ],
-            slots: vec![(
-                "m".into(),
-                vec![TensorBlob::from_f32("w", &shape, values)],
-            )],
+            scalars: vec![("lr".into(), 2e-3f32.to_bits() as u64), ("t".into(), 9)],
+            slots: vec![("m".into(), vec![TensorBlob::from_f32("w", &shape, values)])],
         },
         scaler: Some(ScalerState {
             scale_bits: 1024.0f32.to_bits(),
@@ -137,7 +131,9 @@ proptest! {
 fn code_payloads_are_lossless_for_all_formats() {
     for fmt in CODE_FORMATS {
         for raw in 0u16..=255 {
-            let Some(x) = fmt.decode_code(raw) else { continue };
+            let Some(x) = fmt.decode_code(raw) else {
+                continue;
+            };
             if !x.is_finite() {
                 continue; // exception codes (NaR / NaN / ±inf)
             }
@@ -278,7 +274,10 @@ fn atomic_write_leaves_no_partial_files() {
         .filter_map(|e| e.ok())
         .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
         .collect();
-    assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -300,7 +299,16 @@ fn env_named_ckpt_corruption_json_validates() {
         .collect();
     assert_eq!(
         header,
-        ["Format", "BER", "Bytes", "Corrupted", "Detected", "Silent", "Recovery", "Depth"],
+        [
+            "Format",
+            "BER",
+            "Bytes",
+            "Corrupted",
+            "Detected",
+            "Silent",
+            "Recovery",
+            "Depth"
+        ],
     );
     let rows = v["rows"].as_array().expect("rows array");
     assert!(!rows.is_empty(), "campaign produced no cells");
@@ -312,6 +320,9 @@ fn env_named_ckpt_corruption_json_validates() {
         // zero silent loads, ever.
         assert_eq!(col(row, 4), "100%", "detection below 100%: {row:?}");
         assert_eq!(col(row, 5), "0", "silent corrupt load: {row:?}");
-        assert!(col(row, 2).parse::<u64>().unwrap_or(0) > 0, "empty checkpoint: {row:?}");
+        assert!(
+            col(row, 2).parse::<u64>().unwrap_or(0) > 0,
+            "empty checkpoint: {row:?}"
+        );
     }
 }

@@ -4,9 +4,7 @@
 use qt_datagen::{ClassifyKind, ClassifyTask, SpanTask};
 use qt_quant::{QuantScheme, ScalingMode};
 use qt_train::{evaluate_classify, evaluate_span_f1, AdamW, Trainer};
-use qt_transformer::{
-    LoraConfig, Model, QuantCtx, TaskHead, TrainMode, TransformerConfig,
-};
+use qt_transformer::{LoraConfig, Model, QuantCtx, TaskHead, TrainMode, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn tiny_cfg() -> TransformerConfig {
@@ -36,7 +34,10 @@ fn posit8_training_with_approx_softmax_learns() {
     let eval = task.dataset(128, 99);
     let batches: Vec<_> = eval.chunks(32).map(|c| task.batch(c)).collect();
     let acc = evaluate_classify(&trainer.model, &QuantCtx::inference(scheme), &batches);
-    assert!(acc > 75.0, "8-bit training should beat chance by far: {acc}");
+    assert!(
+        acc > 75.0,
+        "8-bit training should beat chance by far: {acc}"
+    );
 }
 
 #[test]
@@ -143,5 +144,8 @@ fn whisper_style_pipeline_transcribes() {
         &eval,
         24,
     );
-    assert!(wer < 75.0, "seq2seq should be learning to transcribe: WER {wer}");
+    assert!(
+        wer < 75.0,
+        "seq2seq should be learning to transcribe: WER {wer}"
+    );
 }

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use qt_fleet::{
-    audit_unflagged_corruption, run_fleet, ArrivalShape, DispatchCause, FleetConfig,
-    FleetLoadSpec, FleetReport, MemSnapStore, ReplicaSpec, ReplicaView, Router, RouterPolicy,
+    audit_unflagged_corruption, run_fleet, ArrivalShape, DispatchCause, FleetConfig, FleetLoadSpec,
+    FleetReport, MemSnapStore, ReplicaSpec, ReplicaView, Router, RouterPolicy,
 };
 use qt_quant::ElemFormat;
 use qt_robust::{BerFaultSource, CodeFormat, CrashSchedule, FaultSource, NoFaults};
@@ -148,13 +148,7 @@ fn crash_under_corruption_fails_over_recovers_and_replays_clean() {
         crashed.stats
     );
     assert_eq!(
-        audit_unflagged_corruption(
-            &tiny_model(),
-            &cfg,
-            &requests,
-            chaos_faults(2e-3),
-            &report
-        ),
+        audit_unflagged_corruption(&tiny_model(), &cfg, &requests, chaos_faults(2e-3), &report),
         0,
         "every served-primary response must replay healthy"
     );
@@ -175,7 +169,10 @@ fn cached_chaos_run(policy_idx: usize, seed: u64, overload: bool) -> std::sync::
         RouterPolicy::HealthAware,
     ][policy_idx];
     let rps_passes = if overload { 2.0 } else { 0.8 };
-    let mut cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new())).lock().unwrap();
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap();
     cache
         .entry((policy_idx, seed, overload))
         .or_insert_with(|| Arc::new(chaos_run(policy, seed, rps_passes, 16)))
@@ -308,7 +305,10 @@ fn cached_gray_run(seed: u64) -> std::sync::Arc<FleetReport> {
         ..FleetLoadSpec::default()
     }
     .requests(tiny_model().cfg.vocab);
-    let mut cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new())).lock().unwrap();
+    let mut cache = CACHE
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap();
     cache
         .entry(seed)
         .or_insert_with(|| {
@@ -316,11 +316,7 @@ fn cached_gray_run(seed: u64) -> std::sync::Arc<FleetReport> {
                 &tiny_model(),
                 &cfg,
                 &load,
-                vec![
-                    Box::new(NoFaults),
-                    Box::new(NoFaults),
-                    Box::new(NoFaults),
-                ],
+                vec![Box::new(NoFaults), Box::new(NoFaults), Box::new(NoFaults)],
                 Box::new(MemSnapStore::new()),
                 None,
                 &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
@@ -387,11 +383,7 @@ fn env_named_fleet_json_validates() {
     assert!(!policies.is_empty(), "at least one policy report");
     let crashed: Vec<u64> = v["crashes"]
         .as_array()
-        .map(|a| {
-            a.iter()
-                .filter_map(|c| c["replica"].as_u64())
-                .collect()
-        })
+        .map(|a| a.iter().filter_map(|c| c["replica"].as_u64()).collect())
         .unwrap_or_default();
     for p in policies {
         let name = p["policy"].as_str().expect("policy name");
@@ -422,7 +414,10 @@ fn env_named_fleet_json_validates() {
             assert!((0.0..=1.0).contains(&x), "{name}: {k} in [0,1], got {x}");
         }
         for k in ["latency_p50_us", "latency_p99_us", "queue_wait_p99_us"] {
-            assert!(p[k].as_f64().unwrap_or(-1.0) >= 0.0, "{name}: {k} nonnegative");
+            assert!(
+                p[k].as_f64().unwrap_or(-1.0) >= 0.0,
+                "{name}: {k} nonnegative"
+            );
         }
         let replicas = p["replicas"].as_array().expect("per-replica stats");
         assert!(!replicas.is_empty());
@@ -430,8 +425,8 @@ fn env_named_fleet_json_validates() {
         // move between replicas and every crashed replica must be back
         // in rotation by the end of the run.
         if !crashed.is_empty() {
-            let moved = p["failovers"].as_u64().unwrap_or(0)
-                + p["requeued_on_crash"].as_u64().unwrap_or(0);
+            let moved =
+                p["failovers"].as_u64().unwrap_or(0) + p["requeued_on_crash"].as_u64().unwrap_or(0);
             assert!(moved > 0, "{name}: crash run must fail work over");
             for &r in &crashed {
                 let rep = &replicas[r as usize];

@@ -131,7 +131,10 @@ fn claim_8bit_lora_needs_no_float_merge() {
     let w0 = Tensor::randn(&[16, 16], &mut rng).mul_scalar(0.2);
     let a = Tensor::randn(&[16, 4], &mut rng).mul_scalar(0.1);
     let b = Tensor::randn(&[4, 16], &mut rng).mul_scalar(0.1);
-    let merged = fq.quantize(&fq.quantize(&w0).add(&fq.quantize(&a).matmul(&fq.quantize(&b))));
+    let merged = fq.quantize(
+        &fq.quantize(&w0)
+            .add(&fq.quantize(&a).matmul(&fq.quantize(&b))),
+    );
     // every element of the merged weight is on the posit grid
     for &x in merged.data() {
         assert_eq!(ElemFormat::P8E1.quantize_scalar(x), x);

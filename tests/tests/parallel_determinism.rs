@@ -197,10 +197,7 @@ fn lut_matches_reference_on_all_bf16_spaced_inputs() {
                 // Value equality: the table stores its single zero as
                 // -0.0, so zero results differ from the reference only in
                 // sign bit (pre-existing; all non-zero values are exact).
-                assert_eq!(
-                    got, want,
-                    "{fmt:?} {policy:?} x={x:e} (cell {cell:#06x})"
-                );
+                assert_eq!(got, want, "{fmt:?} {policy:?} x={x:e} (cell {cell:#06x})");
                 if want != 0.0 {
                     assert_eq!(got.to_bits(), want.to_bits(), "{fmt:?} {policy:?} x={x:e}");
                 }
@@ -254,7 +251,10 @@ fn env_named_kernels_json_validates() {
         .iter()
         .map(|b| b.as_str().expect("backend name"))
         .collect();
-    assert!(backends.contains(&"scalar"), "scalar backend always present");
+    assert!(
+        backends.contains(&"scalar"),
+        "scalar backend always present"
+    );
     let check_ms = |ms: &serde_json::Value, what: &str| {
         let ms = ms.as_object().unwrap_or_else(|| panic!("{what} ms map"));
         assert_eq!(ms.len(), sweep.len(), "{what}: one timing per sweep point");
@@ -272,7 +272,10 @@ fn env_named_kernels_json_validates() {
                 let per = row["backend"].as_object().expect("backend matrix");
                 assert_eq!(per.len(), backends.len(), "one column per backend");
                 for (bname, ms) in per {
-                    assert!(backends.contains(&bname.as_str()), "unknown backend {bname}");
+                    assert!(
+                        backends.contains(&bname.as_str()),
+                        "unknown backend {bname}"
+                    );
                     check_ms(ms, &format!("gemm[{domain}].{bname}"));
                 }
             }
@@ -295,7 +298,11 @@ fn env_named_kernels_json_validates() {
     // quantize + forward are skipped under --gemm-only.
     let gemm_only = v["gemm_only"].as_bool() == Some(true);
     if gemm_only {
-        assert_eq!(v["forward"], serde_json::Value::Null, "--gemm-only writes no forward row");
+        assert_eq!(
+            v["forward"],
+            serde_json::Value::Null,
+            "--gemm-only writes no forward row"
+        );
     } else {
         for row in v["quantize"].as_array().expect("quantize array") {
             check_ms(&row["ms"], "quantize");

@@ -16,8 +16,15 @@ fn tiny_cfg() -> TransformerConfig {
     cfg
 }
 
-fn eval_batches(task: &ClassifyTask, n: usize, seed: u64) -> Vec<(qt_transformer::TokenBatch, Vec<usize>)> {
-    task.dataset(n, seed).chunks(16).map(|c| task.batch(c)).collect()
+fn eval_batches(
+    task: &ClassifyTask,
+    n: usize,
+    seed: u64,
+) -> Vec<(qt_transformer::TokenBatch, Vec<usize>)> {
+    task.dataset(n, seed)
+        .chunks(16)
+        .map(|c| task.batch(c))
+        .collect()
 }
 
 #[test]
@@ -75,9 +82,8 @@ fn nonfinite_guard_contains_nan_poisoned_weights() {
 
     // A saturating guard still observes it, but clamps the poison so the
     // quantized values leaving every cut are finite.
-    let guarded = QuantCtx::inference(
-        QuantScheme::posit8().with_nonfinite(NonFinitePolicy::Saturate),
-    );
+    let guarded =
+        QuantCtx::inference(QuantScheme::posit8().with_nonfinite(NonFinitePolicy::Saturate));
     let acc = evaluate_classify(&model, &guarded, &batches);
     let total = guarded.health_total();
     assert!(total.nonfinite_in > 0);
@@ -123,7 +129,10 @@ fn dynamic_scaling_completes_where_static_scale_diverges() {
     let (dyn_steps, dyn_skipped) = run(Some(
         LossScaler::new(f32::INFINITY).with_backoff(1.0 / 65536.0),
     ));
-    assert!(dyn_skipped > 0, "dynamic scaler must first hit the overflow");
+    assert!(
+        dyn_skipped > 0,
+        "dynamic scaler must first hit the overflow"
+    );
     assert!(
         dyn_steps > 0,
         "dynamic scaler must back off and complete the run"

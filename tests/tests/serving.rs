@@ -66,7 +66,10 @@ fn serve_report_is_byte_identical_across_thread_pools() {
     };
     let single = run(1);
     let quad = run(4);
-    assert_eq!(single, quad, "serving counters must not depend on QT_THREADS");
+    assert_eq!(
+        single, quad,
+        "serving counters must not depend on QT_THREADS"
+    );
 }
 
 /// Scripted burst: healthy traffic, then a window of requests whose
@@ -87,11 +90,7 @@ fn breaker_round_trips_under_fault_burst_with_no_unflagged_corruption() {
         },
         ..ServeConfig::default()
     };
-    let fault = BurstFaultSource::new(
-        BerFaultSource::new(0xb0057, p8e1(), 0.0),
-        2e-2,
-        40..110,
-    );
+    let fault = BurstFaultSource::new(BerFaultSource::new(0xb0057, p8e1(), 0.0), 2e-2, 40..110);
     let engine = Engine::new(tiny_model(11), &cfg, Box::new(fault));
     let spec = LoadSpec {
         rps: 0.9 * 1e6 / engine.full_pass_us() as f64,
@@ -105,12 +104,12 @@ fn breaker_round_trips_under_fault_burst_with_no_unflagged_corruption() {
 
     assert!(report.reconciles(), "counters reconcile to offered load");
     assert!(report.breaker_trips >= 1, "burst must trip the breaker");
-    assert!(report.served_degraded > 0, "tripped traffic serves degraded");
-    let seq: Vec<(BreakerState, BreakerState)> = report
-        .transitions
-        .iter()
-        .map(|t| (t.from, t.to))
-        .collect();
+    assert!(
+        report.served_degraded > 0,
+        "tripped traffic serves degraded"
+    );
+    let seq: Vec<(BreakerState, BreakerState)> =
+        report.transitions.iter().map(|t| (t.from, t.to)).collect();
     assert!(
         seq.contains(&(BreakerState::Closed, BreakerState::Open)),
         "trip recorded: {seq:?}"
@@ -272,11 +271,7 @@ fn env_named_serve_json_validates() {
             shed > 0 && miss > 0,
             "overload run must both shed and miss (shed {shed}, miss {miss})"
         ),
-        Ok("light") => assert_eq!(
-            (shed, miss),
-            (0, 0),
-            "light run must neither shed nor miss"
-        ),
+        Ok("light") => assert_eq!((shed, miss), (0, 0), "light run must neither shed nor miss"),
         _ => {}
     }
 }

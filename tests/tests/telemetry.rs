@@ -141,11 +141,26 @@ fn telemetry_artifacts_are_byte_identical_across_thread_pools() {
     };
     let single = run(1);
     let quad = run(4);
-    assert_eq!(single.0, quad.0, "fleet report must not depend on QT_THREADS");
-    assert_eq!(single.1, quad.1, "telemetry scoreboard must not depend on QT_THREADS");
-    assert_eq!(single.2, quad.2, "series JSONL must not depend on QT_THREADS");
-    assert_eq!(single.3, quad.3, "alert stream must not depend on QT_THREADS");
-    assert_eq!(single.4, quad.4, "flight dumps must not depend on QT_THREADS");
+    assert_eq!(
+        single.0, quad.0,
+        "fleet report must not depend on QT_THREADS"
+    );
+    assert_eq!(
+        single.1, quad.1,
+        "telemetry scoreboard must not depend on QT_THREADS"
+    );
+    assert_eq!(
+        single.2, quad.2,
+        "series JSONL must not depend on QT_THREADS"
+    );
+    assert_eq!(
+        single.3, quad.3,
+        "alert stream must not depend on QT_THREADS"
+    );
+    assert_eq!(
+        single.4, quad.4,
+        "flight dumps must not depend on QT_THREADS"
+    );
 }
 
 /// Every request admitted to a chaotic fleet — corruption retries,
@@ -170,14 +185,9 @@ fn chaos_run_closes_every_span_tree_and_reconciles_counters() {
     for resp in &report.responses {
         let trace = book.get(resp.id).expect("trace exists");
         assert!(trace.is_complete(), "request {}: {trace:?}", resp.id);
-        let attempts = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "attempt")
-            .count();
+        let attempts = trace.spans.iter().filter(|s| s.name == "attempt").count();
         assert_eq!(
-            attempts as u32,
-            resp.attempts,
+            attempts as u32, resp.attempts,
             "request {}: one attempt span per engine attempt",
             resp.id
         );
@@ -203,7 +213,9 @@ fn chaos_run_closes_every_span_tree_and_reconciles_counters() {
     assert_eq!(total("crashes"), 1);
     assert_eq!(total("recoveries"), 1);
     assert!(
-        sink.dumps().iter().any(|d| d.replica == 1 && d.reason == "crash"),
+        sink.dumps()
+            .iter()
+            .any(|d| d.replica == 1 && d.reason == "crash"),
         "the crashed replica left a black box"
     );
 }

@@ -24,9 +24,7 @@ use std::rc::Rc;
 /// naming both tracks, every event carrying the required keys, and the
 /// cycle track nesting at least one GEMM inside a block span.
 fn validate_chrome(doc: &Value) {
-    let events = doc["traceEvents"]
-        .as_array()
-        .expect("traceEvents array");
+    let events = doc["traceEvents"].as_array().expect("traceEvents array");
     assert!(!events.is_empty(), "trace has events");
     let mut track_names = Vec::new();
     for e in events {
@@ -106,7 +104,10 @@ fn validate_manifest(v: &Value) {
             assert!(q[field].as_u64().unwrap() <= elements, "{site}.{field}");
         }
         assert!(q["events"].as_u64().unwrap() > 0, "{site}.events");
-        assert!(!q["formats"].as_array().unwrap().is_empty(), "{site}.formats");
+        assert!(
+            !q["formats"].as_array().unwrap().is_empty(),
+            "{site}.formats"
+        );
     }
     let gemm = v["gemm_sites"].as_object().expect("gemm_sites");
     for (site, g) in gemm {
@@ -129,7 +130,10 @@ fn validate_manifest(v: &Value) {
     // v2: the host section records the qt-par pool ("host" is absent only
     // from the deterministic view, which this validator never sees).
     let host = v["host"].as_object().expect("host section");
-    assert!(v["host"]["threads"].as_u64().unwrap_or(0) >= 1, "host.threads");
+    assert!(
+        v["host"]["threads"].as_u64().unwrap_or(0) >= 1,
+        "host.threads"
+    );
     assert!(host.contains_key("qt_threads"), "host.qt_threads");
 }
 
@@ -157,9 +161,7 @@ fn traced_run(seed: u64) -> TraceSession {
         trainer.step_classify(&batch, &labels);
     }
     drop(trainer); // releases the QuantCtx's handle clone
-    Rc::try_unwrap(session)
-        .expect("sole owner")
-        .into_inner()
+    Rc::try_unwrap(session).expect("sole owner").into_inner()
 }
 
 #[test]
@@ -184,7 +186,10 @@ fn manifests_deterministic_across_thread_counts() {
     // kernels ran serially or on a pool.
     let a = qt_par::with_threads(1, || RunManifest::render_deterministic(&traced_run(7)));
     let b = qt_par::with_threads(4, || RunManifest::render_deterministic(&traced_run(7)));
-    assert_eq!(a, b, "kernels must be bitwise-deterministic in thread count");
+    assert_eq!(
+        a, b,
+        "kernels must be bitwise-deterministic in thread count"
+    );
     assert!(!a.contains("\"host\""));
 }
 
