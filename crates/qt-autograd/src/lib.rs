@@ -5,8 +5,11 @@
 //! softmax (§5.2). That requires an AD engine where individual ops can carry
 //! hand-written backward passes: this crate provides a classic Wengert tape.
 //!
-//! A [`Tape`] owns every intermediate [`qt_tensor::Tensor`]; operations push
-//! nodes and return [`Var`] handles. [`Tape::backward`] walks the tape in
+//! A [`Tape`] holds every intermediate [`qt_tensor::Tensor`] behind an
+//! [`Arc`]; operations push nodes and return [`Var`] handles. Read-only
+//! leaves can share storage with their owner through [`Tape::leaf_shared`]
+//! (a model's frozen parameters, a decode cache), so entering the tape
+//! costs a reference count, not a copy. [`Tape::backward`] walks the tape in
 //! reverse and accumulates gradients, summing over broadcast axes so shapes
 //! always match the forward operands.
 //!
@@ -34,6 +37,7 @@ mod ops;
 pub use loss::IGNORE_INDEX;
 
 use qt_tensor::Tensor;
+use std::sync::Arc;
 
 /// Handle to a value on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,10 +53,10 @@ impl Var {
 /// Backward function: given the output gradient, the parents' values and the
 /// node's own output value, produce one gradient per parent (already shaped
 /// like the parent).
-pub type BackwardFn = Box<dyn Fn(&Tensor, &[Tensor], &Tensor) -> Vec<Tensor>>;
+pub type BackwardFn = Box<dyn Fn(&Tensor, &[&Tensor], &Tensor) -> Vec<Tensor>>;
 
 struct Node {
-    value: Tensor,
+    value: Arc<Tensor>,
     parents: Vec<Var>,
     backward: Option<BackwardFn>,
     requires_grad: bool,
@@ -79,8 +83,8 @@ impl Gradients {
 /// A Wengert tape: records the forward computation, replays it backward.
 ///
 /// Typical lifecycle: create per step, [`Tape::leaf`] the inputs and
-/// parameters, build the graph, call [`Tape::backward`] on a scalar loss,
-/// read gradients, drop the tape.
+/// [`Tape::leaf_shared`] the parameters, build the graph, call
+/// [`Tape::backward`] on a scalar loss, read gradients, drop the tape.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
@@ -105,7 +109,20 @@ impl Tape {
     /// Record a leaf value. Set `requires_grad` for parameters and for any
     /// input whose gradient you need.
     pub fn leaf(&mut self, value: Tensor, requires_grad: bool) -> Var {
-        self.push(value, vec![], None, requires_grad)
+        self.leaf_shared(Arc::new(value), requires_grad)
+    }
+
+    /// Record a leaf that shares `value`'s storage instead of copying it.
+    /// The tape never writes node values, so the owner's tensor is read-only
+    /// while the tape lives; gradients, if requested, are fresh tensors.
+    pub fn leaf_shared(&mut self, value: Arc<Tensor>, requires_grad: bool) -> Var {
+        self.nodes.push(Node {
+            value,
+            parents: vec![],
+            backward: None,
+            requires_grad,
+        });
+        Var(self.nodes.len() - 1)
     }
 
     /// The forward value of a variable.
@@ -113,26 +130,22 @@ impl Tape {
         &self.nodes[var.0].value
     }
 
+    /// The forward value of a variable as a shared handle, for keeping it
+    /// past the tape (or feeding it to another tape) without a copy.
+    pub fn value_shared(&self, var: Var) -> Arc<Tensor> {
+        Arc::clone(&self.nodes[var.0].value)
+    }
+
     /// Record a custom operation with an arbitrary backward function.
     ///
     /// This is the extension point used for quantizers (straight-through
     /// estimators) and the approximate posit softmax.
     pub fn custom(&mut self, parents: Vec<Var>, value: Tensor, backward: BackwardFn) -> Var {
-        let rg = parents.iter().any(|p| self.nodes[p.0].requires_grad);
-        self.push(value, parents, Some(backward), rg)
-    }
-
-    fn push(
-        &mut self,
-        value: Tensor,
-        parents: Vec<Var>,
-        backward: Option<BackwardFn>,
-        requires_grad: bool,
-    ) -> Var {
+        let requires_grad = parents.iter().any(|p| self.nodes[p.0].requires_grad);
         self.nodes.push(Node {
-            value,
+            value: Arc::new(value),
             parents,
-            backward,
+            backward: Some(backward),
             requires_grad,
         });
         Var(self.nodes.len() - 1)
@@ -147,7 +160,7 @@ impl Tape {
         self.custom(
             vec![a],
             value,
-            Box::new(move |g, parents, out| vec![back(g, &parents[0], out)]),
+            Box::new(move |g, parents, out| vec![back(g, parents[0], out)]),
         )
     }
 
@@ -182,10 +195,10 @@ impl Tape {
             let Some(g) = grads[i].take() else { continue };
             let node = &self.nodes[i];
             if let Some(back) = &node.backward {
-                let parent_values: Vec<Tensor> = node
+                let parent_values: Vec<&Tensor> = node
                     .parents
                     .iter()
-                    .map(|p| self.nodes[p.0].value.clone())
+                    .map(|p| &*self.nodes[p.0].value)
                     .collect();
                 let parent_grads = back(&g, &parent_values, &node.value);
                 assert_eq!(
@@ -268,6 +281,23 @@ mod tests {
         let g = t.backward(y);
         assert!(g.get(w).is_none());
         assert_eq!(g.get(a).unwrap().data(), &[5.0]);
+    }
+
+    #[test]
+    fn shared_leaf_aliases_its_owner_and_still_gets_gradients() {
+        let owner = Arc::new(Tensor::from_vec(vec![2.0, 3.0], &[2]));
+        let mut t = Tape::new();
+        let w = t.leaf_shared(Arc::clone(&owner), true);
+        assert!(Arc::ptr_eq(&t.value_shared(w), &owner), "no copy on entry");
+        let x = t.leaf(Tensor::from_vec(vec![5.0, 7.0], &[2]), true);
+        let y = t.mul(x, w);
+        let l = t.sum_all(y);
+        let g = t.backward(l);
+        assert_eq!(g.get(w).unwrap().data(), &[5.0, 7.0]);
+        assert_eq!(g.get(x).unwrap().data(), &[2.0, 3.0]);
+        drop(t);
+        assert_eq!(Arc::strong_count(&owner), 1, "the tape released its share");
+        assert_eq!(owner.data(), &[2.0, 3.0]);
     }
 
     #[test]
