@@ -438,19 +438,21 @@ fn main() {
             ..qt_telemetry::TelemetryConfig::default()
         };
         let mut sink = qt_telemetry::TelemetrySink::new(tel_cfg, cfg.replicas.len());
-        let report = run_fleet(
-            &model,
-            &cfg,
-            &requests,
-            faults_for(&specs),
-            Box::new(DirSnapStore::new(&snap_dir)),
-            trace.as_ref(),
-            &mut sink,
-        );
+        let (report, tasks) = qt_par::count_tasks(|| {
+            run_fleet(
+                &model,
+                &cfg,
+                &requests,
+                faults_for(&specs),
+                Box::new(DirSnapStore::new(&snap_dir)),
+                trace.as_ref(),
+                &mut sink,
+            )
+        });
         if let Some(t) = trace.as_ref() {
             qt_telemetry::export_to_trace(&sink, &mut t.borrow_mut());
         }
-        popts.close_trace(trace);
+        popts.close_trace(trace, tasks);
         assert!(
             report.reconciles(),
             "{}: outcome counters must reconcile to offered load",

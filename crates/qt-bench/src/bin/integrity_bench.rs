@@ -262,19 +262,21 @@ fn main() {
             },
             cfg.replicas.len(),
         );
-        let report = run_fleet(
-            &model,
-            &cfg,
-            &requests,
-            faults(n_replicas),
-            Box::new(DirSnapStore::new(&snap_dir)),
-            trace.as_ref(),
-            &mut sink,
-        );
+        let (report, tasks) = qt_par::count_tasks(|| {
+            run_fleet(
+                &model,
+                &cfg,
+                &requests,
+                faults(n_replicas),
+                Box::new(DirSnapStore::new(&snap_dir)),
+                trace.as_ref(),
+                &mut sink,
+            )
+        });
         if let Some(t) = trace.as_ref() {
             qt_telemetry::export_to_trace(&sink, &mut t.borrow_mut());
         }
-        lopts.close_trace(trace);
+        lopts.close_trace(trace, tasks);
         assert!(
             report.reconciles(),
             "{name}: outcome counters must reconcile to offered load"

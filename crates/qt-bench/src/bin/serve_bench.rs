@@ -101,8 +101,8 @@ fn main() {
     );
 
     let trace = opts.open_trace("serve_bench");
-    let report = run_sim(&engine, &cfg, &requests, trace.as_ref());
-    opts.close_trace(trace);
+    let (report, tasks) = qt_par::count_tasks(|| run_sim(&engine, &cfg, &requests, trace.as_ref()));
+    opts.close_trace(trace, tasks);
 
     assert!(
         report.reconciles(),

@@ -59,129 +59,131 @@ fn main() {
         }
     }
     let trace = opts.open_trace("tab07_lora_finetune");
+    let ((), tasks) = qt_par::count_tasks(|| {
+        let methods: [(&str, Option<QuantScheme>); 5] = [
+            ("Full Training FP32", None),
+            ("LoRA BF16", Some(QuantScheme::bf16())),
+            ("LoRA Posit8", Some(QuantScheme::posit8())),
+            ("LoRA Posit8 Approx", Some(QuantScheme::posit8_approx())),
+            ("LoRA FP8", Some(QuantScheme::fp8())),
+        ];
 
-    let methods: [(&str, Option<QuantScheme>); 5] = [
-        ("Full Training FP32", None),
-        ("LoRA BF16", Some(QuantScheme::bf16())),
-        ("LoRA Posit8", Some(QuantScheme::posit8())),
-        ("LoRA Posit8 Approx", Some(QuantScheme::posit8_approx())),
-        ("LoRA FP8", Some(QuantScheme::fp8())),
-    ];
+        let mut table = Table::new(
+            "Table 7: fine-tuning accuracy by method (GLUE-style acc % / SQuAD-style F1)",
+            &[
+                "Model", "Method", "#Train", "MNLI", "QNLI", "MRPC", "SST-2", "SQuAD",
+            ],
+        );
 
-    let mut table = Table::new(
-        "Table 7: fine-tuning accuracy by method (GLUE-style acc % / SQuAD-style F1)",
-        &[
-            "Model", "Method", "#Train", "MNLI", "QNLI", "MRPC", "SST-2", "SQuAD",
-        ],
-    );
-
-    for (cfg, lora) in [
-        (
-            TransformerConfig::mobilebert_tiny_sim(),
-            LoraConfig::mobilebert_default(),
-        ),
-        (
-            TransformerConfig::roberta_base_sim(),
-            LoraConfig::roberta_default(),
-        ),
-    ] {
-        if !model_filter.is_empty()
-            && !model_filter
+        for (cfg, lora) in [
+            (
+                TransformerConfig::mobilebert_tiny_sim(),
+                LoraConfig::mobilebert_default(),
+            ),
+            (
+                TransformerConfig::roberta_base_sim(),
+                LoraConfig::roberta_default(),
+            ),
+        ] {
+            if !model_filter.is_empty()
+                && !model_filter
+                    .iter()
+                    .any(|f| cfg.name.to_lowercase().contains(f))
+            {
+                eprintln!("[tab07] skipping {} (--models filter)", cfg.name);
+                continue;
+            }
+            eprintln!("[tab07] model {}…", cfg.name);
+            // Pretrain per task (the "checkpoint" each LoRA row starts from).
+            let glue_tasks: Vec<_> = ClassifyKind::ALL
                 .iter()
-                .any(|f| cfg.name.to_lowercase().contains(f))
-        {
-            eprintln!("[tab07] skipping {} (--models filter)", cfg.name);
-            continue;
-        }
-        eprintln!("[tab07] model {}…", cfg.name);
-        // Pretrain per task (the "checkpoint" each LoRA row starts from).
-        let glue_tasks: Vec<_> = ClassifyKind::ALL
-            .iter()
-            .map(|&k| classify_task_for(&cfg, k))
-            .collect();
-        let glue_pretrained: Vec<_> = glue_tasks
-            .iter()
-            .map(|t| pretrain_classify(&cfg, t, pre_steps, opts.seed))
-            .collect();
-        let span_task = span_task_for(&cfg);
-        let span_pretrained = pretrain_span(&cfg, &span_task, pre_steps, opts.seed);
+                .map(|&k| classify_task_for(&cfg, k))
+                .collect();
+            let glue_pretrained: Vec<_> = glue_tasks
+                .iter()
+                .map(|t| pretrain_classify(&cfg, t, pre_steps, opts.seed))
+                .collect();
+            let span_task = span_task_for(&cfg);
+            let span_pretrained = pretrain_span(&cfg, &span_task, pre_steps, opts.seed);
 
-        for (mi, (method, scheme)) in methods.iter().enumerate() {
-            let mut cells = vec![cfg.name.to_string(), method.to_string()];
-            let mut trainable = 0usize;
-            let mut metrics = Vec::new();
-            for (task, pretrained) in glue_tasks.iter().zip(&glue_pretrained) {
-                let (model, mode) = match scheme {
-                    None => (pretrained.clone(), qt_transformer::TrainMode::Full),
+            for (mi, (method, scheme)) in methods.iter().enumerate() {
+                let mut cells = vec![cfg.name.to_string(), method.to_string()];
+                let mut trainable = 0usize;
+                let mut metrics = Vec::new();
+                for (task, pretrained) in glue_tasks.iter().zip(&glue_pretrained) {
+                    let (model, mode) = match scheme {
+                        None => (pretrained.clone(), qt_transformer::TrainMode::Full),
+                        Some(s) => {
+                            let run_id = format!(
+                                "{}-{}-{}",
+                                slug(cfg.name),
+                                slug(method),
+                                slug(&format!("{:?}", task.kind))
+                            );
+                            (
+                                lora_finetune_classify(
+                                    pretrained,
+                                    task,
+                                    *s,
+                                    lora,
+                                    ft_steps,
+                                    2e-3,
+                                    opts.seed ^ mi as u64,
+                                    trace.as_ref(),
+                                    opts.ckpt_spec(&run_id).as_ref(),
+                                ),
+                                qt_transformer::TrainMode::Lora,
+                            )
+                        }
+                    };
+                    trainable = model.trainable_params(mode);
+                    let eval = task.dataset(eval_n, opts.seed ^ 0xEEE);
+                    let batches: Vec<_> = eval.chunks(32).map(|c| task.batch(c)).collect();
+                    // evaluate under the scheme the model was trained with
+                    let eval_scheme = scheme.unwrap_or_else(QuantScheme::fp32);
+                    let acc =
+                        evaluate_classify(&model, &QuantCtx::inference(eval_scheme), &batches);
+                    metrics.push(acc);
+                }
+                // SQuAD column
+                let span_model = match scheme {
+                    None => span_pretrained.clone(),
                     Some(s) => {
-                        let run_id = format!(
-                            "{}-{}-{}",
-                            slug(cfg.name),
-                            slug(method),
-                            slug(&format!("{:?}", task.kind))
-                        );
-                        (
-                            lora_finetune_classify(
-                                pretrained,
-                                task,
-                                *s,
-                                lora,
-                                ft_steps,
-                                2e-3,
-                                opts.seed ^ mi as u64,
-                                trace.as_ref(),
-                                opts.ckpt_spec(&run_id).as_ref(),
-                            ),
-                            qt_transformer::TrainMode::Lora,
+                        let run_id = format!("{}-{}-squad", slug(cfg.name), slug(method));
+                        lora_finetune_span(
+                            &span_pretrained,
+                            &span_task,
+                            *s,
+                            lora,
+                            ft_steps,
+                            2e-3,
+                            opts.seed ^ mi as u64,
+                            trace.as_ref(),
+                            opts.ckpt_spec(&run_id).as_ref(),
                         )
                     }
                 };
-                trainable = model.trainable_params(mode);
-                let eval = task.dataset(eval_n, opts.seed ^ 0xEEE);
-                let batches: Vec<_> = eval.chunks(32).map(|c| task.batch(c)).collect();
-                // evaluate under the scheme the model was trained with
+                let eval = span_task.dataset(eval_n, opts.seed ^ 0xEEE);
                 let eval_scheme = scheme.unwrap_or_else(QuantScheme::fp32);
-                let acc = evaluate_classify(&model, &QuantCtx::inference(eval_scheme), &batches);
-                metrics.push(acc);
+                let f1 = evaluate_span_f1(
+                    &span_model,
+                    &QuantCtx::inference(eval_scheme),
+                    &span_task,
+                    &eval,
+                    32,
+                );
+                metrics.push(f1);
+
+                cells.push(format!("{:.1}k", trainable as f64 / 1000.0));
+                cells.extend(metrics.iter().map(|m| format!("{m:.1}")));
+                table.row(&cells);
             }
-            // SQuAD column
-            let span_model = match scheme {
-                None => span_pretrained.clone(),
-                Some(s) => {
-                    let run_id = format!("{}-{}-squad", slug(cfg.name), slug(method));
-                    lora_finetune_span(
-                        &span_pretrained,
-                        &span_task,
-                        *s,
-                        lora,
-                        ft_steps,
-                        2e-3,
-                        opts.seed ^ mi as u64,
-                        trace.as_ref(),
-                        opts.ckpt_spec(&run_id).as_ref(),
-                    )
-                }
-            };
-            let eval = span_task.dataset(eval_n, opts.seed ^ 0xEEE);
-            let eval_scheme = scheme.unwrap_or_else(QuantScheme::fp32);
-            let f1 = evaluate_span_f1(
-                &span_model,
-                &QuantCtx::inference(eval_scheme),
-                &span_task,
-                &eval,
-                32,
-            );
-            metrics.push(f1);
-
-            cells.push(format!("{:.1}k", trainable as f64 / 1000.0));
-            cells.extend(metrics.iter().map(|m| format!("{m:.1}")));
-            table.row(&cells);
         }
-    }
 
-    table.print();
-    table
-        .write_json(&opts.out_dir, "tab07_lora_finetune")
-        .expect("write results");
-    opts.close_trace(trace);
+        table.print();
+        table
+            .write_json(&opts.out_dir, "tab07_lora_finetune")
+            .expect("write results");
+    });
+    opts.close_trace(trace, tasks);
 }

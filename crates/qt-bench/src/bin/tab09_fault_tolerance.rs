@@ -96,119 +96,120 @@ fn main() {
     let steps = opts.pick(600, 100);
     let eval_n = opts.pick(256, 64);
     let trace = opts.open_trace("tab09_fault_tolerance");
+    let ((), tasks) = qt_par::count_tasks(|| {
+        let model_cfg = TransformerConfig::mobilebert_tiny_sim();
+        let task = classify_task_for(&model_cfg, ClassifyKind::Sst2);
+        eprintln!("[tab09] pretraining {}…", model_cfg.name);
+        let model = pretrain_classify(&model_cfg, &task, steps, opts.seed);
+        let eval_data = task.dataset(eval_n, opts.seed ^ 0x109);
+        let batches: Vec<_> = eval_data.chunks(16).map(|c| task.batch(c)).collect();
 
-    let model_cfg = TransformerConfig::mobilebert_tiny_sim();
-    let task = classify_task_for(&model_cfg, ClassifyKind::Sst2);
-    eprintln!("[tab09] pretraining {}…", model_cfg.name);
-    let model = pretrain_classify(&model_cfg, &task, steps, opts.seed);
-    let eval_data = task.dataset(eval_n, opts.seed ^ 0x109);
-    let batches: Vec<_> = eval_data.chunks(16).map(|c| task.batch(c)).collect();
-
-    eprintln!(
-        "[tab09] campaign: {} formats × {} rates × {} trials, seed {}",
-        cfg.formats.len(),
-        cfg.flip_rates.len(),
-        cfg.trials,
-        cfg.seed
-    );
-    let cells = run_campaign(&cfg, &model, |m, fmt| {
-        let mut ctx = QuantCtx::inference(QuantScheme::uniform(fmt));
-        if let Some(t) = &trace {
-            let sim = SystolicSim::new(Accelerator::new(8, datapath_for(fmt)));
-            ctx = ctx
-                .with_trace(std::rc::Rc::clone(t))
-                .with_cycle_model(std::rc::Rc::new(sim));
-        }
-        evaluate_classify(m, &ctx, &batches)
-    });
-
-    let fault = SramFaultModel::new(ber);
-    let mut table = Table::new(
-        "Table 9: weight bit-flip sensitivity (synthetic SST-2 accuracy %)",
-        &[
-            "Format",
-            "Flip rate",
-            "Baseline",
-            "Corrupted",
-            "Degraded",
-            "Detected",
-            "SRAM flips",
-        ],
-    );
-    for cell in &cells {
-        let budget = CodeFormat::new(cell.format)
-            .map(|codec| weight_traffic_budget(&model, codec, &fault))
-            .unwrap_or(0);
-        table.row(&[
-            format!("{:?}", cell.format),
-            format!("{:.0e}", cell.rate),
-            format!("{:.1}", cell.baseline),
-            format!("{:.1}", cell.corrupted),
-            format!("{:+.1}", -cell.degradation()),
-            format!("{:.0}%", 100.0 * cell.detection_rate()),
-            format!("{budget}"),
-        ]);
-    }
-
-    table.print();
-    table
-        .write_json(&opts.out_dir, "tab09_fault_tolerance")
-        .expect("write results");
-    if let Some(path) = &json_out {
-        table.write_json_to(path).expect("write --json output");
-        eprintln!("[tab09] wrote {}", path.display());
-    }
-
-    // Companion sweep: the same upsets aimed at the *durable* copy of
-    // training state — serialized qt-ckpt files — where the question is
-    // not graceful degradation but absolute detection plus recovery via
-    // generation fallback.
-    assert!(
-        !ckpt_cfg.bit_error_rates.is_empty(),
-        "need at least one checkpoint BER (--ckpt-bers)"
-    );
-    eprintln!(
-        "[tab09] checkpoint-corruption campaign: {} formats × {} BERs × {} trials",
-        ckpt_cfg.formats.len(),
-        ckpt_cfg.bit_error_rates.len(),
-        ckpt_cfg.trials
-    );
-    let ckpt_cells = run_ckpt_campaign(&ckpt_cfg, &model);
-    let mut ckpt_table = Table::new(
-        "Table 9b: checkpoint corruption — detection and generation fallback",
-        &[
-            "Format",
-            "BER",
-            "Bytes",
-            "Corrupted",
-            "Detected",
-            "Silent",
-            "Recovery",
-            "Depth",
-        ],
-    );
-    for cell in &ckpt_cells {
-        ckpt_table.row(&[
-            format!("{:?}", cell.format),
-            format!("{:.0e}", cell.ber),
-            format!("{}", cell.bytes),
-            format!("{}", cell.corrupted_files),
-            format!("{:.0}%", 100.0 * cell.detection_rate()),
-            format!("{}", cell.silent),
-            format!("{:.0}%", 100.0 * cell.recovery_rate()),
-            format!("{:.2}", cell.mean_fallback_depth),
-        ]);
-        // The envelope's integrity guarantee: a corrupt checkpoint must
-        // never load. Fail the binary loudly if it ever does.
-        assert_eq!(
-            cell.silent, 0,
-            "corrupt checkpoint loaded silently ({:?} @ {:.0e})",
-            cell.format, cell.ber
+        eprintln!(
+            "[tab09] campaign: {} formats × {} rates × {} trials, seed {}",
+            cfg.formats.len(),
+            cfg.flip_rates.len(),
+            cfg.trials,
+            cfg.seed
         );
-    }
-    ckpt_table.print();
-    ckpt_table
-        .write_json(&opts.out_dir, "tab09_ckpt_corruption")
-        .expect("write results");
-    opts.close_trace(trace);
+        let cells = run_campaign(&cfg, &model, |m, fmt| {
+            let mut ctx = QuantCtx::inference(QuantScheme::uniform(fmt));
+            if let Some(t) = &trace {
+                let sim = SystolicSim::new(Accelerator::new(8, datapath_for(fmt)));
+                ctx = ctx
+                    .with_trace(std::rc::Rc::clone(t))
+                    .with_cycle_model(std::rc::Rc::new(sim));
+            }
+            evaluate_classify(m, &ctx, &batches)
+        });
+
+        let fault = SramFaultModel::new(ber);
+        let mut table = Table::new(
+            "Table 9: weight bit-flip sensitivity (synthetic SST-2 accuracy %)",
+            &[
+                "Format",
+                "Flip rate",
+                "Baseline",
+                "Corrupted",
+                "Degraded",
+                "Detected",
+                "SRAM flips",
+            ],
+        );
+        for cell in &cells {
+            let budget = CodeFormat::new(cell.format)
+                .map(|codec| weight_traffic_budget(&model, codec, &fault))
+                .unwrap_or(0);
+            table.row(&[
+                format!("{:?}", cell.format),
+                format!("{:.0e}", cell.rate),
+                format!("{:.1}", cell.baseline),
+                format!("{:.1}", cell.corrupted),
+                format!("{:+.1}", -cell.degradation()),
+                format!("{:.0}%", 100.0 * cell.detection_rate()),
+                format!("{budget}"),
+            ]);
+        }
+
+        table.print();
+        table
+            .write_json(&opts.out_dir, "tab09_fault_tolerance")
+            .expect("write results");
+        if let Some(path) = &json_out {
+            table.write_json_to(path).expect("write --json output");
+            eprintln!("[tab09] wrote {}", path.display());
+        }
+
+        // Companion sweep: the same upsets aimed at the *durable* copy of
+        // training state — serialized qt-ckpt files — where the question is
+        // not graceful degradation but absolute detection plus recovery via
+        // generation fallback.
+        assert!(
+            !ckpt_cfg.bit_error_rates.is_empty(),
+            "need at least one checkpoint BER (--ckpt-bers)"
+        );
+        eprintln!(
+            "[tab09] checkpoint-corruption campaign: {} formats × {} BERs × {} trials",
+            ckpt_cfg.formats.len(),
+            ckpt_cfg.bit_error_rates.len(),
+            ckpt_cfg.trials
+        );
+        let ckpt_cells = run_ckpt_campaign(&ckpt_cfg, &model);
+        let mut ckpt_table = Table::new(
+            "Table 9b: checkpoint corruption — detection and generation fallback",
+            &[
+                "Format",
+                "BER",
+                "Bytes",
+                "Corrupted",
+                "Detected",
+                "Silent",
+                "Recovery",
+                "Depth",
+            ],
+        );
+        for cell in &ckpt_cells {
+            ckpt_table.row(&[
+                format!("{:?}", cell.format),
+                format!("{:.0e}", cell.ber),
+                format!("{}", cell.bytes),
+                format!("{}", cell.corrupted_files),
+                format!("{:.0}%", 100.0 * cell.detection_rate()),
+                format!("{}", cell.silent),
+                format!("{:.0}%", 100.0 * cell.recovery_rate()),
+                format!("{:.2}", cell.mean_fallback_depth),
+            ]);
+            // The envelope's integrity guarantee: a corrupt checkpoint must
+            // never load. Fail the binary loudly if it ever does.
+            assert_eq!(
+                cell.silent, 0,
+                "corrupt checkpoint loaded silently ({:?} @ {:.0e})",
+                cell.format, cell.ber
+            );
+        }
+        ckpt_table.print();
+        ckpt_table
+            .write_json(&opts.out_dir, "tab09_ckpt_corruption")
+            .expect("write results");
+    });
+    opts.close_trace(trace, tasks);
 }

@@ -211,16 +211,19 @@ impl Opts {
     /// the Chrome trace (plus a JSONL sibling) for `--trace-out`, the
     /// deterministic manifest for `--manifest-out`, and a top-10 cycle /
     /// saturation report to stderr.
-    pub fn close_trace(&self, trace: Option<TraceHandle>) {
+    ///
+    /// `chunk_tasks` is the traced section's qt-par chunk count, taken
+    /// with [`qt_par::count_tasks`] around that section alone, so a binary
+    /// that writes one manifest per configuration records each one's own
+    /// work. It is recorded as `par.chunk_tasks`: deterministic for a
+    /// given workload, since chunk boundaries never depend on the pool
+    /// size.
+    pub fn close_trace(&self, trace: Option<TraceHandle>, chunk_tasks: u64) {
         let Some(trace) = trace else { return };
-        {
-            // Cumulative qt-par chunk count: deterministic for a given
-            // workload (chunk boundaries never depend on the pool size).
-            let mut session = trace.borrow_mut();
-            session
-                .metrics_mut()
-                .counter_add("par.chunk_tasks", &[], qt_par::tasks_executed());
-        }
+        trace
+            .borrow_mut()
+            .metrics_mut()
+            .counter_add("par.chunk_tasks", &[], chunk_tasks);
         let session = trace.borrow();
         // Atomic writes (qt-ckpt): a crash mid-export never leaves a
         // truncated trace or manifest behind, and parent dirs are created.
@@ -236,5 +239,40 @@ impl Opts {
                 .unwrap_or_else(|e| eprintln!("manifest-out {}: {e}", path.display()));
         }
         eprintln!("{}", qt_trace::trace_report(&session, 10));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn traced_sections_record_their_own_chunk_tasks() {
+        let opts = Opts {
+            quick: true,
+            out_dir: "results".into(),
+            seed: 1,
+            trace_out: None,
+            manifest_out: None,
+            checkpoint_dir: None,
+            checkpoint_every: 25,
+            resume: false,
+            extra: Vec::new(),
+        };
+        // Two identical traced sections in one process, as a binary that
+        // writes one manifest per configuration runs them.
+        let traced_section = || {
+            let trace = TraceSession::new("section").handle();
+            let ((), tasks) = qt_par::count_tasks(|| qt_par::parallel_for(64, |_| {}));
+            opts.close_trace(Some(trace.clone()), tasks);
+            let recorded = trace
+                .borrow()
+                .metrics()
+                .counter_value("par.chunk_tasks", &[]);
+            recorded
+        };
+        let first = traced_section();
+        assert_eq!(first, 64);
+        assert_eq!(traced_section(), first);
     }
 }

@@ -1,6 +1,5 @@
 //! Numerical guards for quantization: what to do with non-finite inputs,
-//! per-tensor health counters, and the typed error the guarded paths
-//! return.
+//! and per-tensor health counters.
 //!
 //! Fake quantization silently converts "out of range" into "wrong": a
 //! saturated activation or a flushed gradient looks like any other value
@@ -8,7 +7,7 @@
 //! quantizer itself has to keep the books — every cut counts how many
 //! elements saturated, underflowed to zero, or arrived/left non-finite,
 //! and [`NonFinitePolicy`] decides whether NaN/±∞ inputs propagate,
-//! clamp, zero, or abort.
+//! clamp, or zero.
 
 use std::fmt;
 
@@ -26,11 +25,6 @@ pub enum NonFinitePolicy {
     /// Replace every non-finite input with 0 — the conservative choice
     /// when a poisoned element should contribute nothing downstream.
     Zero,
-    /// Refuse: the fallible quantization paths return
-    /// [`QuantError::NonFiniteInput`]. Infallible paths
-    /// ([`crate::FakeQuant::quantize`]) fall back to `Saturate` and count
-    /// the encounter, since they cannot report it.
-    Error,
 }
 
 /// Per-tensor numerical health of one quantization pass.
@@ -214,32 +208,6 @@ impl HealthWindow {
     }
 }
 
-/// Error from a guarded quantization path.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QuantError {
-    /// A non-finite element reached a quantizer whose policy is
-    /// [`NonFinitePolicy::Error`].
-    NonFiniteInput {
-        /// Flat index of the offending element.
-        index: usize,
-        /// The offending value (NaN or ±∞).
-        value: f32,
-    },
-}
-
-impl fmt::Display for QuantError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuantError::NonFiniteInput { index, value } => write!(
-                f,
-                "non-finite input {value} at flat index {index} (policy = Error)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for QuantError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,15 +280,5 @@ mod tests {
         w.push(TensorHealth::default());
         w.push(TensorHealth::default());
         assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn error_displays_value_and_index() {
-        let e = QuantError::NonFiniteInput {
-            index: 7,
-            value: f32::NAN,
-        };
-        let s = e.to_string();
-        assert!(s.contains('7') && s.contains("NaN"), "{s}");
     }
 }

@@ -33,7 +33,7 @@ mod scheme;
 
 pub use format::ElemFormat;
 pub use fusion::{FusionLevel, OpClass, OpSet};
-pub use guard::{HealthWindow, NonFinitePolicy, QuantError, TensorHealth};
+pub use guard::{HealthWindow, NonFinitePolicy, TensorHealth};
 pub use qgemm::{matmul_codes, PackedQuantB, QuantizedTensor};
 pub use qt_posit::UnderflowPolicy;
 pub use quantizer::FakeQuant;

@@ -2,7 +2,7 @@
 //! autograd op used during quantized training.
 
 use crate::format::ElemFormat;
-use crate::guard::{NonFinitePolicy, QuantError, TensorHealth};
+use crate::guard::{NonFinitePolicy, TensorHealth};
 use qt_autograd::{Tape, Var};
 use qt_posit::UnderflowPolicy;
 use qt_tensor::Tensor;
@@ -149,11 +149,7 @@ impl FakeQuant {
         match self.nonfinite {
             // NaN passes; ±∞ falls through and saturates naturally.
             NonFinitePolicy::Propagate => x.is_nan().then_some(f32::NAN),
-            // Error is handled by the fallible paths; here it degrades to
-            // Saturate so the infallible API stays total.
-            NonFinitePolicy::Saturate | NonFinitePolicy::Error => {
-                Some(if x == f32::NEG_INFINITY { -max } else { max })
-            }
+            NonFinitePolicy::Saturate => Some(if x == f32::NEG_INFINITY { -max } else { max }),
             NonFinitePolicy::Zero => Some(0.0),
         }
     }
@@ -291,24 +287,6 @@ impl FakeQuant {
             }
         }
         (Tensor::from_vec(data, t.shape()), health)
-    }
-
-    /// Fallible quantization honouring [`NonFinitePolicy::Error`]: returns
-    /// [`QuantError::NonFiniteInput`] for the first NaN/±∞ element instead
-    /// of quantizing around it. Under every other policy this never fails.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::NonFiniteInput`] when the policy is `Error` and the
-    /// tensor contains a non-finite element.
-    pub fn try_quantize(&self, t: &Tensor) -> Result<(Tensor, TensorHealth), QuantError> {
-        if self.nonfinite == NonFinitePolicy::Error {
-            if let Some((index, &value)) = t.data().iter().enumerate().find(|(_, x)| !x.is_finite())
-            {
-                return Err(QuantError::NonFiniteInput { index, value });
-            }
-        }
-        Ok(self.quantize_with_health(t))
     }
 
     /// Record a quantization on the tape with a straight-through estimator
@@ -450,27 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn error_policy_rejects_first_nonfinite() {
-        let q = FakeQuant::with_guard(
-            ElemFormat::P8E1,
-            UnderflowPolicy::RoundTiesToZero,
-            NonFinitePolicy::Error,
-        );
-        let t = Tensor::from_vec(vec![1.0, f32::NAN, f32::INFINITY], &[3]);
-        match q.try_quantize(&t) {
-            Err(QuantError::NonFiniteInput { index, value }) => {
-                assert_eq!(index, 1);
-                assert!(value.is_nan());
-            }
-            other => panic!("expected NonFiniteInput, got {other:?}"),
-        }
-        // Clean tensors pass under Error policy.
-        let ok = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let (_, h) = q.try_quantize(&ok).unwrap();
-        assert!(h.is_clean());
-    }
-
-    #[test]
     fn all_nan_tensor_under_each_policy() {
         let t = Tensor::from_vec(vec![f32::NAN; 4], &[4]);
         for (policy, expect) in [
@@ -494,12 +451,6 @@ mod tests {
                 }
             }
         }
-        let err = FakeQuant::with_guard(
-            ElemFormat::P8E1,
-            UnderflowPolicy::RoundTiesToZero,
-            NonFinitePolicy::Error,
-        );
-        assert!(err.try_quantize(&t).is_err());
     }
 
     #[test]

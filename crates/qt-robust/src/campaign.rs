@@ -9,7 +9,7 @@
 //! upset has very different consequences, and very different odds of
 //! being caught by a zero-cost non-finite check at read time.
 
-use crate::inject::{BitFlipInjector, CodeFormat, FlipPos, InjectionReport};
+use crate::inject::{apply_flips, BitFlipInjector, CodeFormat, FlipPos, InjectionReport};
 use qt_accel::SramFaultModel;
 use qt_quant::ElemFormat;
 use qt_transformer::Model;
@@ -121,13 +121,6 @@ impl Harness {
         self.trials
     }
 
-    /// The seed a given trial's injector is built from — exposed for
-    /// consumers (e.g. a serving fault source) that derive their own
-    /// randomness but must stay on the same independence discipline.
-    pub fn trial_seed(&self, fmt_idx: usize, level_idx: usize, trial: usize) -> u64 {
-        cell_seed(self.seed, fmt_idx, level_idx, trial)
-    }
-
     /// Injector for the baseline (zero-fault) evaluation of a format.
     /// Uses a reserved level coordinate so it can never collide with a
     /// real cell's stream.
@@ -161,66 +154,40 @@ pub fn corrupt_model(
     rate: f64,
     injector: &mut BitFlipInjector,
 ) -> (Model, InjectionReport) {
-    let (m, r, _) = corrupt_model_logged(model, codec, rate, injector);
-    (m, r)
+    let flips = draw_model_flips(model, codec, rate, injector);
+    apply_model_flips(model, codec, &flips)
 }
 
-/// [`corrupt_model`] with every flip's exact position logged as
-/// `(tensor name, position)` in injection order. The RNG stream is
-/// identical to the unlogged variant, so the same injector seed yields
-/// the same corruption either way — integrity campaigns use this to
-/// audit corrected-vs-injected bit by bit.
-pub fn corrupt_model_logged(
+/// Step one of [`corrupt_model`]: the flips of every parameter tensor,
+/// in [`qt_transformer::ParamStore::names`] order. Needs only each
+/// tensor's length, so a caller can see that a read is clean before it
+/// copies or encodes anything.
+pub(crate) fn draw_model_flips(
     model: &Model,
     codec: CodeFormat,
     rate: f64,
     injector: &mut BitFlipInjector,
-) -> (Model, InjectionReport, Vec<(String, FlipPos)>) {
-    let mut corrupted = model.clone();
-    let mut report = InjectionReport::default();
-    let mut flips = Vec::new();
-    for name in corrupted.params.names() {
-        let (mut codes, shape) = {
-            let t = corrupted.params.get(&name);
-            let codes: Vec<u16> = t.data().iter().map(|&x| codec.encode(x)).collect();
-            (codes, t.shape().to_vec())
-        };
-        let (r, pos) = injector.corrupt_codes_logged(&mut codes, codec, rate);
-        report.merge(&r);
-        flips.extend(pos.into_iter().map(|p| (name.clone(), p)));
-        let data = codes.iter().map(|&c| codec.decode(c)).collect();
-        corrupted
-            .params
-            .insert(name, qt_tensor::Tensor::from_vec(data, &shape));
-    }
-    (corrupted, report, flips)
+) -> Vec<Vec<FlipPos>> {
+    model
+        .params
+        .iter()
+        .map(|(_, t)| injector.draw(t.len(), codec.bits(), rate))
+        .collect()
 }
 
-/// [`corrupt_model`] with an exact total flip budget (e.g. derived from
-/// simulated SRAM traffic via [`SramFaultModel`]), distributed over
-/// tensors proportionally to their element counts.
-pub fn corrupt_model_exact(
+/// Step two of [`corrupt_model`]: a copy of `model` whose every tensor
+/// round-trips through `codec` with its drawn flips applied.
+pub(crate) fn apply_model_flips(
     model: &Model,
     codec: CodeFormat,
-    n_flips: u64,
-    injector: &mut BitFlipInjector,
+    flips: &[Vec<FlipPos>],
 ) -> (Model, InjectionReport) {
     let mut corrupted = model.clone();
     let mut report = InjectionReport::default();
-    let total = corrupted.params.num_elements().max(1) as u64;
-    let names = corrupted.params.names();
-    let mut spent = 0u64;
-    for (i, name) in names.iter().enumerate() {
-        let len = corrupted.params.get(name).len() as u64;
-        let share = if i + 1 == names.len() {
-            n_flips - spent // remainder goes to the last tensor
-        } else {
-            n_flips * len / total
-        };
-        spent += share;
-        let (t, r) = injector.corrupt_tensor_exact(corrupted.params.get(name), codec, share);
+    for ((name, t), f) in model.params.iter().zip(flips) {
+        let (t, r) = apply_flips(t, codec, f);
         report.merge(&r);
-        corrupted.params.insert(name.clone(), t);
+        corrupted.params.insert(name, t);
     }
     (corrupted, report)
 }
@@ -354,19 +321,5 @@ mod tests {
         assert!(c.baseline >= 0.0 && c.baseline <= 100.0);
         assert!(c.corrupted >= 0.0 && c.corrupted <= 100.0);
         assert!(c.report.elements > 0);
-    }
-
-    #[test]
-    fn traffic_budget_drives_exact_corruption() {
-        let model = tiny_model();
-        let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
-        // BER chosen so the whole parameter store yields a modest budget.
-        let fault = SramFaultModel::new(1e-5);
-        let budget = weight_traffic_budget(&model, codec, &fault);
-        assert!(budget > 0, "tiny model × 1e-5 BER must still inject");
-        let mut inj = BitFlipInjector::new(5);
-        let (corrupted, report) = corrupt_model_exact(&model, codec, budget, &mut inj);
-        assert_eq!(report.bits_flipped, budget);
-        assert_eq!(corrupted.params.num_elements(), model.params.num_elements());
     }
 }

@@ -71,13 +71,10 @@ impl CodeFormat {
     }
 }
 
-/// Exact position of one injected flip inside a code buffer.
-///
-/// Integrity campaigns log these alongside the [`InjectionReport`]
-/// counters so corrected-vs-injected can be audited bit by bit (the
-/// qt-shield scrubber reports the positions it fixed in the same shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FlipPos {
+/// Position of one flip inside a code buffer, as drawn by
+/// [`BitFlipInjector`] before it is applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlipPos {
     /// Index of the hit word (element) in the buffer.
     pub word: usize,
     /// Flipped bit within the stored code.
@@ -118,8 +115,11 @@ impl InjectionReport {
 
 /// Seeded bit-flip injector over encoded tensors.
 ///
-/// Deterministic: the same seed and call sequence produce identical
-/// corruption, so campaigns are reproducible run-to-run.
+/// Every corruption is two steps: the injector draws the flip positions,
+/// which needs only the buffer's length and code width, then the flips
+/// are applied to the stored codes. Deterministic: the same seed and call
+/// sequence produce identical corruption, so campaigns are reproducible
+/// run-to-run.
 #[derive(Debug, Clone)]
 pub struct BitFlipInjector {
     rng: StdRng,
@@ -133,108 +133,24 @@ impl BitFlipInjector {
         }
     }
 
-    /// Flip each bit of each code independently with probability `rate`.
-    pub fn corrupt_codes(
-        &mut self,
-        codes: &mut [u16],
-        codec: CodeFormat,
-        rate: f64,
-    ) -> InjectionReport {
-        self.corrupt_codes_logged(codes, codec, rate).0
-    }
-
-    /// [`BitFlipInjector::corrupt_codes`], additionally returning the
-    /// exact position of every flip in injection order. Consumes the RNG
-    /// stream identically, so a given seed produces the same corruption
-    /// whether or not positions are logged.
-    pub fn corrupt_codes_logged(
-        &mut self,
-        codes: &mut [u16],
-        codec: CodeFormat,
-        rate: f64,
-    ) -> (InjectionReport, Vec<FlipPos>) {
-        let bits = codec.bits();
-        let mut report = InjectionReport {
-            elements: codes.len() as u64,
-            ..Default::default()
-        };
+    /// Draw the flips of a pass over `words` codes of `bits` bits each,
+    /// flipping every bit independently with probability `rate`. One
+    /// `gen_bool(rate)` per bit, word by word and bit by bit, so the RNG
+    /// stream depends only on the buffer's shape, and the positions come
+    /// out sorted by word.
+    pub(crate) fn draw(&mut self, words: usize, bits: u32, rate: f64) -> Vec<FlipPos> {
         let mut flips = Vec::new();
-        for (i, code) in codes.iter_mut().enumerate() {
-            let mut hit = false;
-            for b in 0..bits {
+        for word in 0..words {
+            for bit in 0..bits {
                 if self.rng.gen_bool(rate) {
-                    *code ^= 1 << b;
-                    report.bits_flipped += 1;
                     flips.push(FlipPos {
-                        word: i,
-                        bit: b as u8,
+                        word,
+                        bit: bit as u8,
                     });
-                    hit = true;
-                }
-            }
-            if hit {
-                report.words_hit += 1;
-                if codec.is_detectable(*code) {
-                    report.detectable += 1;
                 }
             }
         }
-        (report, flips)
-    }
-
-    /// Flip exactly `n_flips` uniformly-chosen bits (with replacement
-    /// across draws, so a bit can flip back — matching independent upsets).
-    ///
-    /// Use this to apply a flip budget derived from simulated SRAM
-    /// traffic (see `qt_accel::SramFaultModel`).
-    pub fn corrupt_codes_exact(
-        &mut self,
-        codes: &mut [u16],
-        codec: CodeFormat,
-        n_flips: u64,
-    ) -> InjectionReport {
-        self.corrupt_codes_exact_logged(codes, codec, n_flips).0
-    }
-
-    /// [`BitFlipInjector::corrupt_codes_exact`] with the exact flip
-    /// positions logged in draw order (RNG stream unchanged).
-    pub fn corrupt_codes_exact_logged(
-        &mut self,
-        codes: &mut [u16],
-        codec: CodeFormat,
-        n_flips: u64,
-    ) -> (InjectionReport, Vec<FlipPos>) {
-        let bits = codec.bits() as usize;
-        let mut report = InjectionReport {
-            elements: codes.len() as u64,
-            bits_flipped: n_flips,
-            ..Default::default()
-        };
-        if codes.is_empty() {
-            report.bits_flipped = 0;
-            return (report, Vec::new());
-        }
-        let mut flips = Vec::with_capacity(n_flips as usize);
-        let mut hit = vec![false; codes.len()];
-        for _ in 0..n_flips {
-            let pos = self.rng.gen_range(0..codes.len() * bits);
-            let (word, bit) = (pos / bits, pos % bits);
-            codes[word] ^= 1 << bit;
-            flips.push(FlipPos {
-                word,
-                bit: bit as u8,
-            });
-            hit[word] = true;
-        }
-        for (i, &h) in hit.iter().enumerate() {
-            if h {
-                report.words_hit += 1;
-                if codec.is_detectable(codes[i]) {
-                    report.detectable += 1;
-                }
-            }
-        }
-        (report, flips)
+        flips
     }
 
     /// Flip each bit of a raw byte buffer independently with probability
@@ -245,30 +161,11 @@ impl BitFlipInjector {
     /// payloads, CRC trailers — and the loader's integrity checks, not an
     /// exception decoder, are what must catch them.
     pub fn corrupt_bytes(&mut self, bytes: &mut [u8], rate: f64) -> u64 {
-        let mut flipped = 0;
-        for byte in bytes.iter_mut() {
-            for b in 0..8 {
-                if self.rng.gen_bool(rate) {
-                    *byte ^= 1 << b;
-                    flipped += 1;
-                }
-            }
+        let flips = self.draw(bytes.len(), 8, rate);
+        for f in &flips {
+            bytes[f.word] ^= 1 << f.bit;
         }
-        flipped
-    }
-
-    /// Flip exactly `n_flips` uniformly-chosen bits of a byte buffer
-    /// (with replacement, matching independent upsets). Returns the
-    /// number of draws actually applied (0 for an empty buffer).
-    pub fn corrupt_bytes_exact(&mut self, bytes: &mut [u8], n_flips: u64) -> u64 {
-        if bytes.is_empty() {
-            return 0;
-        }
-        for _ in 0..n_flips {
-            let pos = self.rng.gen_range(0..bytes.len() * 8);
-            bytes[pos / 8] ^= 1 << (pos % 8);
-        }
-        n_flips
+        flips.len() as u64
     }
 
     /// Encode a tensor into `codec`'s storage codes, flip bits at `rate`,
@@ -279,24 +176,40 @@ impl BitFlipInjector {
         codec: CodeFormat,
         rate: f64,
     ) -> (Tensor, InjectionReport) {
-        let mut codes: Vec<u16> = t.data().iter().map(|&x| codec.encode(x)).collect();
-        let report = self.corrupt_codes(&mut codes, codec, rate);
-        let data = codes.iter().map(|&c| codec.decode(c)).collect();
-        (Tensor::from_vec(data, t.shape()), report)
+        let flips = self.draw(t.len(), codec.bits(), rate);
+        apply_flips(t, codec, &flips)
     }
+}
 
-    /// [`BitFlipInjector::corrupt_tensor`] with an exact flip budget.
-    pub fn corrupt_tensor_exact(
-        &mut self,
-        t: &Tensor,
-        codec: CodeFormat,
-        n_flips: u64,
-    ) -> (Tensor, InjectionReport) {
-        let mut codes: Vec<u16> = t.data().iter().map(|&x| codec.encode(x)).collect();
-        let report = self.corrupt_codes_exact(&mut codes, codec, n_flips);
-        let data = codes.iter().map(|&c| codec.decode(c)).collect();
-        (Tensor::from_vec(data, t.shape()), report)
+/// Encode `t` into `codec`'s storage codes, apply drawn `flips` (sorted
+/// by word, as [`BitFlipInjector`] draws them), and decode back. Every
+/// element round-trips through the codec, flipped or not.
+pub(crate) fn apply_flips(
+    t: &Tensor,
+    codec: CodeFormat,
+    flips: &[FlipPos],
+) -> (Tensor, InjectionReport) {
+    let mut codes: Vec<u16> = t.data().iter().map(|&x| codec.encode(x)).collect();
+    for f in flips {
+        codes[f.word] ^= 1 << f.bit;
     }
+    let mut report = InjectionReport {
+        elements: codes.len() as u64,
+        bits_flipped: flips.len() as u64,
+        ..Default::default()
+    };
+    let mut last = None;
+    for f in flips {
+        if last != Some(f.word) {
+            last = Some(f.word);
+            report.words_hit += 1;
+            if codec.is_detectable(codes[f.word]) {
+                report.detectable += 1;
+            }
+        }
+    }
+    let data = codes.iter().map(|&c| codec.decode(c)).collect();
+    (Tensor::from_vec(data, t.shape()), report)
 }
 
 #[cfg(test)]
@@ -346,50 +259,29 @@ mod tests {
     }
 
     #[test]
-    fn exact_budget_counts() {
-        let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
-        let t = Tensor::ones(&[64]);
-        let mut inj = BitFlipInjector::new(7);
-        let (_, r) = inj.corrupt_tensor_exact(&t, codec, 10);
-        assert_eq!(r.bits_flipped, 10);
-        assert!(r.words_hit >= 1 && r.words_hit <= 10);
-    }
-
-    #[test]
     fn logged_positions_match_actual_flips() {
         let codec = CodeFormat::new(ElemFormat::E4M3).unwrap();
-        let original: Vec<u16> = (0..512)
-            .map(|i| codec.encode(i as f32 * 0.03 - 7.0))
-            .collect();
-        let mut codes = original.clone();
-        let mut inj = BitFlipInjector::new(42);
-        let (report, flips) = inj.corrupt_codes_logged(&mut codes, codec, 0.01);
+        let t = Tensor::from_vec((0..512).map(|i| i as f32 * 0.03 - 7.0).collect(), &[512]);
+        let flips = BitFlipInjector::new(42).draw(t.len(), codec.bits(), 0.01);
+        assert!(!flips.is_empty());
+        assert!(flips.windows(2).all(|w| w[0].word <= w[1].word));
+        let (corrupted, report) = apply_flips(&t, codec, &flips);
         assert_eq!(report.bits_flipped, flips.len() as u64);
-        assert!(report.bits_flipped > 0);
-        // Replaying the logged positions undoes the corruption exactly.
+        // The corrupted tensor decodes exactly the flipped codes.
+        let mut codes: Vec<u16> = t.data().iter().map(|&x| codec.encode(x)).collect();
         for f in &flips {
             codes[f.word] ^= 1 << f.bit;
         }
-        assert_eq!(codes, original);
-        // And the unlogged variant consumes the identical RNG stream.
-        let mut codes2 = original.clone();
-        let r2 = BitFlipInjector::new(42).corrupt_codes(&mut codes2, codec, 0.01);
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|x| x.to_bits()).collect() };
+        let decoded: Vec<u32> = codes.iter().map(|&c| codec.decode(c).to_bits()).collect();
+        assert_eq!(bits(&corrupted), decoded);
+        let mut words: Vec<usize> = flips.iter().map(|f| f.word).collect();
+        words.dedup();
+        assert_eq!(report.words_hit, words.len() as u64);
+        // corrupt_tensor is the same draw, then the same apply.
+        let (c2, r2) = BitFlipInjector::new(42).corrupt_tensor(&t, codec, 0.01);
         assert_eq!(r2, report);
-    }
-
-    #[test]
-    fn logged_exact_positions_match_actual_flips() {
-        let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
-        let original: Vec<u16> = (0..128).map(|i| codec.encode(i as f32 * 0.1)).collect();
-        let mut codes = original.clone();
-        let mut inj = BitFlipInjector::new(5);
-        let (report, flips) = inj.corrupt_codes_exact_logged(&mut codes, codec, 9);
-        assert_eq!(report.bits_flipped, 9);
-        assert_eq!(flips.len(), 9);
-        for f in &flips {
-            codes[f.word] ^= 1 << f.bit;
-        }
-        assert_eq!(codes, original);
+        assert_eq!(bits(&c2), bits(&corrupted));
     }
 
     #[test]

@@ -11,12 +11,12 @@ pub mod lifecycle;
 pub mod runtime;
 
 pub use campaign::{
-    cell_seed, corrupt_model, corrupt_model_exact, corrupt_model_logged, run_campaign,
-    weight_traffic_budget, CampaignCell, CampaignConfig, Harness,
+    cell_seed, corrupt_model, run_campaign, weight_traffic_budget, CampaignCell, CampaignConfig,
+    Harness,
 };
 pub use ckpt_campaign::{
     checkpoint_state_for, run_ckpt_campaign, CkptCampaignCell, CkptCampaignConfig,
 };
-pub use inject::{BitFlipInjector, CodeFormat, FlipPos, InjectionReport};
+pub use inject::{BitFlipInjector, CodeFormat, InjectionReport};
 pub use lifecycle::{CrashSchedule, CrashWindow, LifecycleEvent};
 pub use runtime::{BerFaultSource, BurstFaultSource, FaultSource, NoFaults, StorageFaultModel};

@@ -10,8 +10,8 @@
 //! [`crate::campaign::cell_seed`], so a serving trace replays exactly and
 //! is independent of the order requests are processed in.
 
-use crate::campaign::{cell_seed, corrupt_model, corrupt_model_logged};
-use crate::inject::{BitFlipInjector, CodeFormat, FlipPos, InjectionReport};
+use crate::campaign::{apply_model_flips, cell_seed, draw_model_flips};
+use crate::inject::{BitFlipInjector, CodeFormat, InjectionReport};
 use qt_transformer::Model;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,22 +90,27 @@ impl BerFaultSource {
         self.codec
     }
 
-    /// Replay the faults `(request_id, attempt)` would see and return
-    /// every flip's exact position as `(tensor name, position)` — the
-    /// injected side of an integrity campaign's corrected-vs-injected
-    /// audit. Identical stream to
-    /// [`FaultSource::corrupt_for_request`]: same seed, same draws.
-    pub fn positions_for_request(
+    /// The weight read of attempt `attempt` of request `request_id` at
+    /// per-bit rate `ber`, through this source's codec and seed. The flips
+    /// are drawn first, and a read that drew none returns `None` before
+    /// anything is copied or encoded. A faulted read round-trips every
+    /// tensor through the codec.
+    fn read(
         &self,
         model: &Model,
+        ber: f64,
         request_id: u64,
         attempt: u32,
-    ) -> Vec<(String, FlipPos)> {
-        if self.ber <= 0.0 {
-            return Vec::new();
+    ) -> Option<(Model, InjectionReport)> {
+        if ber <= 0.0 {
+            return None;
         }
         let mut inj = BitFlipInjector::new(request_seed(self.seed, request_id, attempt));
-        corrupt_model_logged(model, self.codec, self.ber, &mut inj).2
+        let flips = draw_model_flips(model, self.codec, ber, &mut inj);
+        if flips.iter().all(Vec::is_empty) {
+            return None; // clean read: the caller keeps the pristine model
+        }
+        Some(apply_model_flips(model, self.codec, &flips))
     }
 }
 
@@ -116,15 +121,7 @@ impl FaultSource for BerFaultSource {
         request_id: u64,
         attempt: u32,
     ) -> Option<(Model, InjectionReport)> {
-        if self.ber <= 0.0 {
-            return None;
-        }
-        let mut inj = BitFlipInjector::new(request_seed(self.seed, request_id, attempt));
-        let (m, r) = corrupt_model(model, self.codec, self.ber, &mut inj);
-        if r.bits_flipped == 0 {
-            return None; // clean read: the caller keeps the pristine model
-        }
-        Some((m, r))
+        self.read(model, self.ber, request_id, attempt)
     }
 
     fn is_noop(&self) -> bool {
@@ -155,11 +152,6 @@ impl BurstFaultSource {
             burst,
         }
     }
-
-    /// The request-id window under burst attack.
-    pub fn burst_window(&self) -> std::ops::Range<u64> {
-        self.burst.clone()
-    }
 }
 
 impl FaultSource for BurstFaultSource {
@@ -174,15 +166,7 @@ impl FaultSource for BurstFaultSource {
         } else {
             self.base.ber
         };
-        if ber <= 0.0 {
-            return None;
-        }
-        let mut inj = BitFlipInjector::new(request_seed(self.base.seed, request_id, attempt));
-        let (m, r) = corrupt_model(model, self.base.codec, ber, &mut inj);
-        if r.bits_flipped == 0 {
-            return None;
-        }
-        Some((m, r))
+        self.base.read(model, ber, request_id, attempt)
     }
 
     fn is_noop(&self) -> bool {
@@ -296,38 +280,6 @@ mod tests {
         let src = BerFaultSource::new(1, codec(), 0.0);
         assert!(src.is_noop());
         assert!(src.corrupt_for_request(&model, 0, 0).is_none());
-    }
-
-    #[test]
-    fn positions_replay_the_request_stream_exactly() {
-        let model = tiny_model();
-        let src = BerFaultSource::new(7, codec(), 1e-2);
-        let (corrupted, report) = src.corrupt_for_request(&model, 3, 0).unwrap();
-        let flips = src.positions_for_request(&model, 3, 0);
-        assert_eq!(flips.len() as u64, report.bits_flipped);
-        // Undoing the logged flips in code space restores every tensor.
-        for name in model.params.names() {
-            let mut codes: Vec<u16> = corrupted
-                .params
-                .get(&name)
-                .data()
-                .iter()
-                .map(|&x| src.codec().encode(x))
-                .collect();
-            for (n, p) in &flips {
-                if *n == name {
-                    codes[p.word] ^= 1 << p.bit;
-                }
-            }
-            let pristine: Vec<u16> = model
-                .params
-                .get(&name)
-                .data()
-                .iter()
-                .map(|&x| src.codec().encode(x))
-                .collect();
-            assert_eq!(codes, pristine, "{name}");
-        }
     }
 
     #[test]

@@ -2,18 +2,9 @@
 
 use std::fmt;
 
-/// Error from a checked training step.
+/// Error from the training loop's checkpoint paths.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
-    /// Too many consecutive steps were skipped for non-finite gradients
-    /// and no snapshot exists to roll back to — the run cannot make
-    /// progress.
-    Diverged {
-        /// Consecutive skipped steps at the time of the report.
-        consecutive_skips: usize,
-        /// The (unscaled) loss of the last step.
-        loss: f32,
-    },
     /// Saving or restoring a checkpoint failed.
     Ckpt(qt_ckpt::CkptError),
 }
@@ -21,14 +12,6 @@ pub enum TrainError {
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TrainError::Diverged {
-                consecutive_skips,
-                loss,
-            } => write!(
-                f,
-                "training diverged: {consecutive_skips} consecutive non-finite steps \
-                 (last loss {loss}) and no snapshot to roll back to"
-            ),
             TrainError::Ckpt(e) => write!(f, "checkpoint failure: {e}"),
         }
     }

@@ -13,10 +13,6 @@ use qt_tensor::Tensor;
 use qt_transformer::{Model, ParamStore, QuantCtx, TokenBatch, TrainMode};
 use std::collections::BTreeMap;
 
-/// Consecutive skipped steps after which a checked step reports
-/// [`TrainError::Diverged`] when no rollback threshold is configured.
-const DEFAULT_DIVERGENCE_PATIENCE: usize = 16;
-
 /// A restorable point-in-time copy of the training state.
 struct Snapshot<O> {
     params: ParamStore,
@@ -194,31 +190,6 @@ impl<O: Optimizer + Clone + CheckpointOptimizer> Trainer<O> {
         self.step_with(batch, None, move |tape, logits| {
             tape.cross_entropy(logits, &labels)
         })
-    }
-
-    /// [`Trainer::step_classify`] that reports divergence: returns
-    /// [`TrainError::Diverged`] once the run has skipped too many
-    /// consecutive steps with no snapshot available to roll back to.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Diverged`] when consecutive skips reach the rollback
-    /// threshold (or a default patience of 16 when none is configured)
-    /// and no snapshot exists.
-    pub fn step_classify_checked(
-        &mut self,
-        batch: &TokenBatch,
-        labels: &[usize],
-    ) -> Result<f32, TrainError> {
-        let loss = self.step_classify(batch, labels);
-        let patience = self.rollback_after.unwrap_or(DEFAULT_DIVERGENCE_PATIENCE);
-        if self.consecutive_skips >= patience && self.snapshot.is_none() {
-            return Err(TrainError::Diverged {
-                consecutive_skips: self.consecutive_skips,
-                loss,
-            });
-        }
-        Ok(loss)
     }
 
     /// One step on a span-extraction batch: the `[B, S, 2]` logits are
@@ -881,33 +852,6 @@ mod tests {
         assert!(l.is_finite());
         assert_eq!(tr.steps(), before + 1);
         assert_eq!(tr.consecutive_skips(), 0);
-    }
-
-    #[test]
-    fn checked_step_reports_divergence_without_snapshots() {
-        let (mut tr, task) = tiny_classify_trainer(QuantScheme::fp32());
-        let data = task.dataset(16, 9);
-        let (batch, labels) = task.batch(&data);
-        tr.model
-            .params
-            .get_mut("head.cls.w")
-            .map_inplace(|_| f32::NAN);
-        let mut saw_diverged = false;
-        for _ in 0..20 {
-            match tr.step_classify_checked(&batch, &labels) {
-                Ok(l) => assert!(!l.is_finite()),
-                Err(TrainError::Diverged {
-                    consecutive_skips, ..
-                }) => {
-                    assert!(consecutive_skips >= 16);
-                    saw_diverged = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        }
-        assert!(saw_diverged, "divergence must be reported");
-        assert_eq!(tr.steps(), 0);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Robustness integration: numerical-health counters surfaced through the
 //! quantization context during real inference, non-finite guard policies
 //! containing NaN-poisoned weights, dynamic loss scaling riding out
-//! injected gradient overflow, and the seeded fault campaign end-to-end.
+//! injected gradient overflow, the seeded fault campaign end-to-end, and
+//! the serving fault sources' reads against the offline corruptor.
 
 use qt_datagen::{ClassifyKind, ClassifyTask};
 use qt_quant::{ElemFormat, NonFinitePolicy, QuantScheme, ScalingMode};
-use qt_robust::{run_campaign, BitFlipInjector, CampaignConfig, CodeFormat};
+use qt_robust::{
+    cell_seed, corrupt_model, run_campaign, BerFaultSource, BitFlipInjector, BurstFaultSource,
+    CampaignConfig, CodeFormat, FaultSource,
+};
 use qt_train::{evaluate_classify, AdamW, LossScaler, Trainer};
 use qt_transformer::{Model, QuantCtx, TaskHead, TrainMode, TransformerConfig};
 use rand::{rngs::StdRng, SeedableRng};
@@ -177,4 +181,89 @@ fn seeded_fault_campaign_reproduces_through_full_inference() {
     let mut inj2 = BitFlipInjector::new(77);
     let (_, r2) = inj2.corrupt_tensor(&t, codec, 2e-3);
     assert_eq!(r1, r2);
+}
+
+/// Every read of `src` matches the offline corruptor on the same request
+/// stream: `None` exactly when [`corrupt_model`] flips no bit, otherwise the
+/// same tensors bit for bit and an equal report. Returns how many reads
+/// were (clean, faulted).
+fn assert_reads_match_corrupt_model(
+    model: &Model,
+    src: &dyn FaultSource,
+    seed: u64,
+    codec: CodeFormat,
+    ber_of: impl Fn(u64) -> f64,
+) -> (usize, usize) {
+    let bits = |m: &Model, name: &str| -> Vec<u32> {
+        m.params
+            .get(name)
+            .data()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let (mut clean, mut faulted) = (0, 0);
+    for request in 0..24u64 {
+        for attempt in 0..2u32 {
+            // The per-(request, attempt) stream a fault source reads with.
+            let stream = cell_seed(seed, request as usize, attempt as usize, 0);
+            let mut inj = BitFlipInjector::new(stream);
+            let (want, want_report) = corrupt_model(model, codec, ber_of(request), &mut inj);
+            match src.corrupt_for_request(model, request, attempt) {
+                None => {
+                    assert_eq!(want_report.bits_flipped, 0, "request {request}/{attempt}");
+                    clean += 1;
+                }
+                Some((got, got_report)) => {
+                    assert!(want_report.bits_flipped > 0, "request {request}/{attempt}");
+                    assert_eq!(got_report, want_report, "request {request}/{attempt}");
+                    for name in model.params.names() {
+                        assert_eq!(bits(&got, &name), bits(&want, &name), "{name}");
+                    }
+                    faulted += 1;
+                }
+            }
+        }
+    }
+    (clean, faulted)
+}
+
+#[test]
+fn fault_source_reads_match_corrupt_model() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let model = Model::new(tiny_cfg(), TaskHead::Classify(2), &mut rng);
+    let codec = CodeFormat::new(ElemFormat::P8E1).unwrap();
+    let seed = 7;
+
+    // At 1e-6 some reads of the tiny model are clean and some are not.
+    let (clean, faulted) = assert_reads_match_corrupt_model(
+        &model,
+        &BerFaultSource::new(seed, codec, 1e-6),
+        seed,
+        codec,
+        |_| 1e-6,
+    );
+    assert!(clean > 0 && faulted > 0, "{clean} clean, {faulted} faulted");
+    let (clean, _) = assert_reads_match_corrupt_model(
+        &model,
+        &BerFaultSource::new(seed, codec, 1e-2),
+        seed,
+        codec,
+        |_| 1e-2,
+    );
+    assert_eq!(clean, 0);
+
+    // A burst at 1e-2 over requests 8..16 on a 1e-6 base.
+    let burst = BurstFaultSource::new(BerFaultSource::new(seed, codec, 1e-6), 1e-2, 8..16);
+    let (clean, faulted) = assert_reads_match_corrupt_model(&model, &burst, seed, codec, |r| {
+        if (8..16).contains(&r) {
+            1e-2
+        } else {
+            1e-6
+        }
+    });
+    assert!(
+        clean > 0 && faulted >= 16,
+        "{clean} clean, {faulted} faulted"
+    );
 }
