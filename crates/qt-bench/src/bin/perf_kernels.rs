@@ -401,6 +401,7 @@ fn main() {
         })
     };
 
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let doc = json!({
         "bench": "perf_kernels",
         "schema": "qt-bench/kernels/v2",
@@ -408,8 +409,17 @@ fn main() {
         "mode": if opts.quick { "quick" } else { "full" },
         "gemm_only": gemm_only,
         "seed": opts.seed,
+        // The ambient `QT_THREADS` pool; the sweep below sets its own.
         "threads_available": qt_par::threads() as u64,
+        "host_cores": host_cores as u64,
         "sweep": json!(SWEEP.iter().map(|&t| t as u64).collect::<Vec<_>>()),
+        // Sweep points with more threads than cores time contention,
+        // not scaling.
+        "oversubscribed": json!(SWEEP
+            .iter()
+            .filter(|&&t| t > host_cores)
+            .map(|&t| t as u64)
+            .collect::<Vec<_>>()),
         "backends": json!(backends.iter().map(|b| b.name()).collect::<Vec<_>>()),
         "active_backend": qt_tensor::kernels::active().name(),
         "gemm": Value::Array(gemm_rows),

@@ -63,7 +63,10 @@ fn main() {
             "--queue-cap" => parse_next(&mut it, &mut cfg.queue_cap),
             "--seq" => parse_next(&mut it, &mut seq),
             "--snapshot" => snapshot_path = it.next().map(Into::into),
-            other => eprintln!("ignoring unknown argument {other:?}"),
+            other => {
+                eprintln!("[serve_bench] unknown flag {other:?}");
+                std::process::exit(2);
+            }
         }
     }
 

@@ -42,11 +42,6 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// Append raw bytes.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
     /// Append a `u16`.
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());

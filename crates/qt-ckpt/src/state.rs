@@ -90,11 +90,6 @@ impl OptState {
             .map(|(_, v)| *v)
     }
 
-    /// Look up a scalar stored as an `f32` bit pattern.
-    pub fn scalar_f32(&self, name: &str) -> Option<f32> {
-        self.scalar(name).map(|v| f32::from_bits(v as u32))
-    }
-
     /// Look up a tensor slot by name.
     pub fn slot(&self, name: &str) -> Option<&[TensorBlob]> {
         self.slots

@@ -112,11 +112,6 @@ impl Server {
         }
     }
 
-    /// Requests admitted but not yet picked up.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
-    }
-
     /// Close admission, drain the queue, join every worker, and return
     /// the run's outcomes.
     pub fn shutdown(self) -> ServerStats {

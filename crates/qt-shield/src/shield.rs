@@ -113,16 +113,6 @@ impl Shield {
         &self.corrected_log
     }
 
-    /// Indices of currently quarantined regions.
-    pub fn quarantined_regions(&self) -> Vec<usize> {
-        self.regions
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_quarantined())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Whether any region is quarantined (primary serving must degrade).
     pub fn has_quarantine(&self) -> bool {
         self.regions.iter().any(|r| r.is_quarantined())

@@ -15,7 +15,8 @@
 //!   zero unflagged corruption.
 //! * When `QT_VALIDATE_ADAPT` names a `BENCH_adapt.json` (CI's
 //!   adapt-smoke job runs `fleet_bench` first), its schema is
-//!   validated; `QT_ADAPT_MODE` selects overload/quiet expectations.
+//!   validated; `QT_ADAPT_MODE` selects overload/gray/quiet
+//!   expectations.
 
 use qt_adapt::{AutoscaleConfig, BrownoutConfig, CodelConfig, GrayConfig};
 use qt_fleet::{
@@ -321,8 +322,8 @@ fn brownout_beats_baseline_shedding_for_paid_tier_under_overload() {
 /// Validate the `fleet_bench` adaptive scoreboard schema. Runs over the
 /// file named by `QT_VALIDATE_ADAPT` (CI's adapt-smoke job runs the
 /// binary first); skips silently when unset. `QT_ADAPT_MODE` layers
-/// scenario expectations: `overload` (ladder walked, reserve booted) or
-/// `quiet` (plane armed but idle).
+/// scenario expectations: `overload` (ladder walked, reserve booted),
+/// `gray` (the slow replica ejected) or `quiet` (plane armed but idle).
 #[test]
 fn env_named_adapt_json_validates() {
     let Ok(path) = std::env::var("QT_VALIDATE_ADAPT") else {
@@ -400,11 +401,23 @@ fn env_named_adapt_json_validates() {
                     p["scale_ups"].as_u64().unwrap_or(0) >= 1,
                     "{name}: overload must boot the reserve"
                 );
+                assert!(
+                    events
+                        .iter()
+                        .any(|e| e["kind"].as_str() == Some("scale_up_done")),
+                    "{name}: the reserve boot must complete"
+                );
                 let paid = p["tiers"]["paid"]["availability"].as_f64().unwrap_or(0.0);
                 let batch = p["tiers"]["batch"]["availability"].as_f64().unwrap_or(1.0);
                 assert!(
                     paid > batch,
                     "{name}: the ladder must protect paid ({paid}) over batch ({batch})"
+                );
+            }
+            "gray" => {
+                assert!(
+                    p["gray_ejections"].as_u64().unwrap_or(0) >= 1,
+                    "{name}: the slow replica was never ejected"
                 );
             }
             "quiet" => {

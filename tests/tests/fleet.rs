@@ -13,7 +13,8 @@
 //!   put it back in rotation — with zero unflagged corrupt responses,
 //!   verified by deterministic replay.
 //! * When `QT_VALIDATE_FLEET` names a `BENCH_fleet.json` (CI's
-//!   fleet-smoke job runs the binary first), its schema is validated.
+//!   fleet-smoke job and telemetry-smoke's outage leg run the binary
+//!   first), its schema and the crash contract are validated.
 
 use proptest::prelude::*;
 use qt_fleet::{
@@ -368,8 +369,9 @@ proptest! {
 }
 
 /// Validate the `fleet_bench` output schema. Runs over the file named
-/// by `QT_VALIDATE_FLEET` (CI's fleet-smoke job runs the binary first);
-/// skips silently when the variable is unset.
+/// by `QT_VALIDATE_FLEET` (CI's fleet-smoke job and telemetry-smoke's
+/// outage leg run the binary first); skips silently when the variable
+/// is unset.
 #[test]
 fn env_named_fleet_json_validates() {
     let Ok(path) = std::env::var("QT_VALIDATE_FLEET") else {

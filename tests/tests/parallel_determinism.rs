@@ -245,6 +245,23 @@ fn env_named_kernels_json_validates() {
     assert!(v["threads_available"].as_u64().unwrap_or(0) >= 1);
     let sweep = v["sweep"].as_array().expect("sweep array");
     assert!(!sweep.is_empty());
+    let host_cores = v["host_cores"].as_u64().expect("host_cores");
+    assert!(host_cores >= 1, "host_cores counts at least one core");
+    let oversubscribed: Vec<u64> = sweep
+        .iter()
+        .filter_map(|t| t.as_u64())
+        .filter(|&t| t > host_cores)
+        .collect();
+    assert_eq!(
+        v["oversubscribed"]
+            .as_array()
+            .expect("oversubscribed array")
+            .iter()
+            .map(|t| t.as_u64().expect("thread count"))
+            .collect::<Vec<_>>(),
+        oversubscribed,
+        "oversubscribed lists exactly the sweep points above host_cores"
+    );
     let backends: Vec<&str> = v["backends"]
         .as_array()
         .expect("backends array")
