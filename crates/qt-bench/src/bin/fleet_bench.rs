@@ -63,8 +63,10 @@
 //! accidentally synchronized to one arrival pattern.
 //!
 //! With `--trace-out`/`--manifest-out`, artifacts are suffixed per
-//! policy (`trace_health_aware.json`, ...) and carry the telemetry
-//! span trees and alert instants.
+//! policy (`trace_health_aware.json`, ...). Each trace holds the run's
+//! `fleet.sim` wall span and the telemetry span trees and alert
+//! instants; the fleet's counters are in `BENCH_fleet.json` and the
+//! telemetry files, not in the trace.
 //!
 //! An unknown flag exits with status 2. The CI scenario contracts
 //! (failover and recovery, alerts, brownout, scale-up, gray ejection, a
@@ -75,7 +77,7 @@
 //! `BENCH_telemetry.json`, and `BENCH_adapt.json`.
 
 use qt_adapt::{AutoscaleConfig, BrownoutConfig, CodelConfig, GrayConfig, PriorityTier};
-use qt_bench::{name_seed, parse_next};
+use qt_bench::{name_seed, parse_next, parse_next_with};
 use qt_fleet::{
     audit_unflagged_corruption, run_fleet, ArrivalShape, DirSnapStore, FleetConfig, FleetLoadSpec,
     FleetReport, ReplicaSpec, RouterPolicy,
@@ -149,75 +151,56 @@ fn main() {
     let mut it = opts.extra.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rps" => parse_next(&mut it, &mut rps),
-            "--duration" => parse_next(&mut it, &mut duration_s),
-            "--deadline-ms" => parse_next(&mut it, &mut deadline_ms),
-            "--shape" => parse_next(&mut it, &mut shape),
-            "--period-ms" => parse_next(&mut it, &mut period_ms),
-            "--users" => parse_next(&mut it, &mut users),
-            "--tenants" => parse_next(&mut it, &mut tenants),
-            "--quota" => parse_next(&mut it, &mut quota),
-            "--seq" => parse_next(&mut it, &mut seq),
-            "--replicas" => parse_next(&mut it, &mut n_replicas),
+            "--rps" => parse_next(a, &mut it, &mut rps),
+            "--duration" => parse_next(a, &mut it, &mut duration_s),
+            "--deadline-ms" => parse_next(a, &mut it, &mut deadline_ms),
+            "--shape" => parse_next(a, &mut it, &mut shape),
+            "--period-ms" => parse_next(a, &mut it, &mut period_ms),
+            "--users" => parse_next(a, &mut it, &mut users),
+            "--tenants" => parse_next(a, &mut it, &mut tenants),
+            "--quota" => parse_next(a, &mut it, &mut quota),
+            "--seq" => parse_next(a, &mut it, &mut seq),
+            "--replicas" => parse_next(a, &mut it, &mut n_replicas),
             "--formats" => {
-                if let Some(v) = it.next() {
-                    let parsed: Vec<ElemFormat> =
-                        v.split(',').filter_map(ElemFormat::parse).collect();
-                    if !parsed.is_empty() {
-                        formats = parsed;
-                    }
-                }
+                formats = parse_next_with(a, &mut it, |v| {
+                    v.split(',').map(ElemFormat::parse).collect()
+                })
             }
-            "--ber" => parse_next(&mut it, &mut ber),
-            "--crash" => {
-                if let Some(v) = it.next() {
-                    let parts: Vec<&str> = v.split(':').collect();
-                    if let [id, at, down] = parts.as_slice() {
-                        if let (Ok(id), Ok(at), Ok(down)) =
-                            (id.parse::<usize>(), at.parse::<u64>(), down.parse::<u64>())
-                        {
-                            crashes.push((id, at, down));
-                        }
-                    }
-                }
-            }
-            "--mtbf-ms" => parse_next(&mut it, &mut mtbf_ms),
-            "--mttr-ms" => parse_next(&mut it, &mut mttr_ms),
-            "--policy" => parse_next(&mut it, &mut policy_arg),
+            "--ber" => parse_next(a, &mut it, &mut ber),
+            "--crash" => crashes.push(parse_next_with(a, &mut it, |v| {
+                let [id, at, down] = v.split(':').collect::<Vec<_>>()[..] else {
+                    return None;
+                };
+                Some((id.parse().ok()?, at.parse().ok()?, down.parse().ok()?))
+            })),
+            "--mtbf-ms" => parse_next(a, &mut it, &mut mtbf_ms),
+            "--mttr-ms" => parse_next(a, &mut it, &mut mttr_ms),
+            "--policy" => parse_next(a, &mut it, &mut policy_arg),
             "--no-hedge" => hedge = false,
-            "--max-failovers" => parse_next(&mut it, &mut max_failovers),
-            "--snapshot-ms" => parse_next(&mut it, &mut snapshot_ms),
-            "--slo-availability" => parse_next(&mut it, &mut slo_availability),
-            "--slo-p99-ms" => parse_next(&mut it, &mut slo_p99_ms),
-            "--slo-window-scale" => parse_next(&mut it, &mut slo_window_scale),
-            "--telemetry-interval-ms" => parse_next(&mut it, &mut telemetry_interval_ms),
-            "--flight-cap" => parse_next(&mut it, &mut flight_cap),
-            "--adapt-interval-ms" => parse_next(&mut it, &mut adapt_interval_ms),
+            "--max-failovers" => parse_next(a, &mut it, &mut max_failovers),
+            "--snapshot-ms" => parse_next(a, &mut it, &mut snapshot_ms),
+            "--slo-availability" => parse_next(a, &mut it, &mut slo_availability),
+            "--slo-p99-ms" => parse_next(a, &mut it, &mut slo_p99_ms),
+            "--slo-window-scale" => parse_next(a, &mut it, &mut slo_window_scale),
+            "--telemetry-interval-ms" => parse_next(a, &mut it, &mut telemetry_interval_ms),
+            "--flight-cap" => parse_next(a, &mut it, &mut flight_cap),
+            "--adapt-interval-ms" => parse_next(a, &mut it, &mut adapt_interval_ms),
             "--brownout" => brownout_flag = true,
             "--autoscale" => {
-                if let Some(v) = it.next() {
-                    let parts: Vec<&str> = v.split(':').collect();
-                    if let [lo, hi] = parts.as_slice() {
-                        if let (Ok(lo), Ok(hi)) = (lo.parse::<usize>(), hi.parse::<usize>()) {
-                            autoscale = Some((lo.max(1), hi.max(lo.max(1))));
-                        }
-                    }
-                }
+                let (lo, hi): (usize, usize) = parse_next_with(a, &mut it, |v| {
+                    let [lo, hi] = v.split(':').collect::<Vec<_>>()[..] else {
+                        return None;
+                    };
+                    Some((lo.parse().ok()?, hi.parse().ok()?))
+                });
+                autoscale = Some((lo.max(1), hi.max(lo.max(1))));
             }
-            "--gray-slow-factor" => {
-                if let Some(v) = it.next() {
-                    let parts: Vec<&str> = v.split(':').collect();
-                    if let [id, from, factor] = parts.as_slice() {
-                        if let (Ok(id), Ok(from), Ok(factor)) = (
-                            id.parse::<usize>(),
-                            from.parse::<u64>(),
-                            factor.parse::<u64>(),
-                        ) {
-                            gray_slow.push((id, from, factor));
-                        }
-                    }
-                }
-            }
+            "--gray-slow-factor" => gray_slow.push(parse_next_with(a, &mut it, |v| {
+                let [id, from, factor] = v.split(':').collect::<Vec<_>>()[..] else {
+                    return None;
+                };
+                Some((id.parse().ok()?, from.parse().ok()?, factor.parse().ok()?))
+            })),
             other => {
                 eprintln!("[fleet_bench] unknown flag {other:?}");
                 std::process::exit(2);
@@ -411,6 +394,9 @@ fn main() {
             ..qt_telemetry::TelemetryConfig::default()
         };
         let mut sink = qt_telemetry::TelemetrySink::new(tel_cfg, cfg.replicas.len());
+        let span = trace
+            .as_ref()
+            .map(|t| t.borrow_mut().begin("fleet.sim", "fleet"));
         let (report, tasks) = qt_par::count_tasks(|| {
             run_fleet(
                 &model,
@@ -418,12 +404,13 @@ fn main() {
                 &requests,
                 faults_for(&specs),
                 Box::new(DirSnapStore::new(&snap_dir)),
-                trace.as_ref(),
                 &mut sink,
             )
         });
-        if let Some(t) = trace.as_ref() {
-            qt_telemetry::export_to_trace(&sink, &mut t.borrow_mut());
+        if let (Some(t), Some(span)) = (trace.as_ref(), span) {
+            let mut session = t.borrow_mut();
+            session.end(span);
+            qt_telemetry::export_to_trace(&sink, &mut session);
         }
         popts.close_trace(trace, tasks);
         assert!(

@@ -44,7 +44,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use qt_bench::{name_seed, parse_next, splitmix64};
+use qt_bench::{name_seed, parse_next, parse_next_with, splitmix64};
 use qt_fleet::{
     audit_unflagged_corruption, run_fleet, ArrivalShape, DirSnapStore, FleetConfig, FleetLoadSpec,
     ReplicaSpec, RouterPolicy, ShieldConfig,
@@ -142,29 +142,20 @@ fn main() {
     let mut it = opts.extra.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rps" => parse_next(&mut it, &mut rps),
-            "--duration" => parse_next(&mut it, &mut duration_s),
-            "--deadline-ms" => parse_next(&mut it, &mut deadline_ms),
-            "--replicas" => parse_next(&mut it, &mut n_replicas),
-            "--format" => {
-                if let Some(v) = it.next() {
-                    if let Some(f) = ElemFormat::parse(v) {
-                        format = f;
-                    }
-                }
-            }
-            "--seq" => parse_next(&mut it, &mut seq),
-            "--ber" => parse_next(&mut it, &mut ber),
-            "--scrub-ms" => parse_next(&mut it, &mut scrub_ms),
-            "--scrub-budget" => parse_next(&mut it, &mut scrub_budget),
-            "--repair-us-per-word" => parse_next(&mut it, &mut repair_us_per_word),
+            "--rps" => parse_next(a, &mut it, &mut rps),
+            "--duration" => parse_next(a, &mut it, &mut duration_s),
+            "--deadline-ms" => parse_next(a, &mut it, &mut deadline_ms),
+            "--replicas" => parse_next(a, &mut it, &mut n_replicas),
+            "--format" => format = parse_next_with(a, &mut it, ElemFormat::parse),
+            "--seq" => parse_next(a, &mut it, &mut seq),
+            "--ber" => parse_next(a, &mut it, &mut ber),
+            "--scrub-ms" => parse_next(a, &mut it, &mut scrub_ms),
+            "--scrub-budget" => parse_next(a, &mut it, &mut scrub_budget),
+            "--repair-us-per-word" => parse_next(a, &mut it, &mut repair_us_per_word),
             "--bers" => {
-                if let Some(v) = it.next() {
-                    let parsed: Vec<f64> = v.split(',').filter_map(|b| b.parse().ok()).collect();
-                    if !parsed.is_empty() {
-                        sweep_bers = parsed;
-                    }
-                }
+                sweep_bers = parse_next_with(a, &mut it, |v| {
+                    v.split(',').map(|b| b.parse().ok()).collect()
+                })
             }
             other => {
                 eprintln!("[integrity_bench] unknown flag {other:?}");
@@ -258,6 +249,9 @@ fn main() {
             },
             cfg.replicas.len(),
         );
+        let span = trace
+            .as_ref()
+            .map(|t| t.borrow_mut().begin("fleet.sim", "fleet"));
         let (report, tasks) = qt_par::count_tasks(|| {
             run_fleet(
                 &model,
@@ -265,12 +259,13 @@ fn main() {
                 &requests,
                 faults(n_replicas),
                 Box::new(DirSnapStore::new(&snap_dir)),
-                trace.as_ref(),
                 &mut sink,
             )
         });
-        if let Some(t) = trace.as_ref() {
-            qt_telemetry::export_to_trace(&sink, &mut t.borrow_mut());
+        if let (Some(t), Some(span)) = (trace.as_ref(), span) {
+            let mut session = t.borrow_mut();
+            session.end(span);
+            qt_telemetry::export_to_trace(&sink, &mut session);
         }
         lopts.close_trace(trace, tasks);
         assert!(

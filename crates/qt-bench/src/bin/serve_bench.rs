@@ -23,7 +23,7 @@
 //!
 //! Identical seed and flags ⇒ byte-identical `BENCH_serve.json`.
 
-use qt_bench::{parse_next, Opts};
+use qt_bench::{parse_next, parse_next_with, Opts};
 use qt_robust::{BerFaultSource, BurstFaultSource, CodeFormat, FaultSource, NoFaults};
 use qt_serve::{run_sim, BreakerState, Engine, HealthSnapshot, LoadSpec, ServeConfig};
 use qt_transformer::{Model, TaskHead, TransformerConfig};
@@ -43,25 +43,21 @@ fn main() {
     let mut it = opts.extra.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rps" => parse_next(&mut it, &mut rps),
-            "--duration" => parse_next(&mut it, &mut duration_s),
-            "--deadline-ms" => parse_next(&mut it, &mut deadline_ms),
-            "--ber" => parse_next(&mut it, &mut ber),
+            "--rps" => parse_next(a, &mut it, &mut rps),
+            "--duration" => parse_next(a, &mut it, &mut duration_s),
+            "--deadline-ms" => parse_next(a, &mut it, &mut deadline_ms),
+            "--ber" => parse_next(a, &mut it, &mut ber),
             "--burst" => {
-                if let Some(v) = it.next() {
-                    let parts: Vec<&str> = v.split(':').collect();
-                    if let [lo, hi, b] = parts.as_slice() {
-                        if let (Ok(lo), Ok(hi), Ok(b)) =
-                            (lo.parse::<u64>(), hi.parse::<u64>(), b.parse::<f64>())
-                        {
-                            burst = Some((lo, hi, b));
-                        }
-                    }
-                }
+                burst = Some(parse_next_with(a, &mut it, |v| {
+                    let [lo, hi, b] = v.split(':').collect::<Vec<_>>()[..] else {
+                        return None;
+                    };
+                    Some((lo.parse().ok()?, hi.parse().ok()?, b.parse().ok()?))
+                }))
             }
-            "--workers" => parse_next(&mut it, &mut cfg.workers),
-            "--queue-cap" => parse_next(&mut it, &mut cfg.queue_cap),
-            "--seq" => parse_next(&mut it, &mut seq),
+            "--workers" => parse_next(a, &mut it, &mut cfg.workers),
+            "--queue-cap" => parse_next(a, &mut it, &mut cfg.queue_cap),
+            "--seq" => parse_next(a, &mut it, &mut seq),
             "--snapshot" => snapshot_path = it.next().map(Into::into),
             other => {
                 eprintln!("[serve_bench] unknown flag {other:?}");

@@ -81,8 +81,8 @@ fn main() {
                     cfg.formats = v.split(',').filter_map(parse_format).collect();
                 }
             }
-            "--trials" => parse_next(&mut it, &mut cfg.trials),
-            "--ber" => parse_next(&mut it, &mut ber),
+            "--trials" => parse_next(a, &mut it, &mut cfg.trials),
+            "--ber" => parse_next(a, &mut it, &mut ber),
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }

@@ -29,15 +29,31 @@ pub fn datapath_for(fmt: qt_quant::ElemFormat) -> qt_accel::Datapath {
     }
 }
 
-/// Parse the value after a flag into `slot`. A missing or unparsable
-/// value leaves `slot` as it was, so the flag's default stands.
+/// Parse the value after `flag` with `parse`. A missing value, or one
+/// `parse` rejects, is a usage error like an unknown flag: it exits
+/// with status 2 naming the flag and the value, rather than letting
+/// the run go on with a default the caller did not ask for.
+pub fn parse_next_with<'a, T>(
+    flag: &str,
+    args: &mut impl Iterator<Item = &'a String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let value = args.next();
+    value.and_then(|v| parse(v)).unwrap_or_else(|| {
+        let shown = value.map_or("nothing".to_string(), |v| format!("{v:?}"));
+        eprintln!("invalid value for {flag}: {shown}");
+        std::process::exit(2)
+    })
+}
+
+/// Parse the value after `flag` into `slot` through [`std::str::FromStr`],
+/// failing as [`parse_next_with`] does.
 pub fn parse_next<'a, T: std::str::FromStr>(
+    flag: &str,
     args: &mut impl Iterator<Item = &'a String>,
     slot: &mut T,
 ) {
-    if let Some(x) = args.next().and_then(|v| v.parse().ok()) {
-        *slot = x;
-    }
+    *slot = parse_next_with(flag, args, |v| v.parse().ok());
 }
 
 /// splitmix64 step — the standard seed-spreading finalizer.
@@ -112,7 +128,8 @@ impl Opts {
         let mut checkpoint_every = 25usize;
         let mut resume = false;
         let mut extra = Vec::new();
-        let mut args = std::env::args().skip(1);
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let mut args = argv.iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => quick = true,
@@ -121,21 +138,16 @@ impl Opts {
                         out_dir = d.into();
                     }
                 }
-                "--seed" => {
-                    if let Some(s) = args.next() {
-                        seed = s.parse().unwrap_or(42);
-                    }
-                }
+                "--seed" => parse_next(a, &mut args, &mut seed),
                 "--trace-out" => trace_out = args.next().map(Into::into),
                 "--manifest-out" => manifest_out = args.next().map(Into::into),
                 "--checkpoint-dir" => checkpoint_dir = args.next().map(Into::into),
                 "--checkpoint-every" => {
-                    if let Some(n) = args.next() {
-                        checkpoint_every = n.parse().unwrap_or(25).max(1);
-                    }
+                    parse_next(a, &mut args, &mut checkpoint_every);
+                    checkpoint_every = checkpoint_every.max(1);
                 }
                 "--resume" => resume = true,
-                _ => extra.push(a),
+                _ => extra.push(a.clone()),
             }
         }
         Self {

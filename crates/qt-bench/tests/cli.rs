@@ -1,5 +1,6 @@
-//! Command-line contract of the bench binaries: an unknown flag is a
-//! usage error, never a silently skipped request.
+//! Command-line contract of the bench binaries: an unknown flag or a
+//! value that does not parse is a usage error, never a silently skipped
+//! request.
 
 use std::process::Command;
 
@@ -23,6 +24,38 @@ fn unknown_flags_exit_with_status_2() {
         assert!(
             stderr.contains(flag),
             "{bin}: stderr names {flag}: {stderr}"
+        );
+    }
+}
+
+/// A flag value that does not parse must exit with status 2 and name
+/// the flag and the value, instead of running with the default or with
+/// the entries that did parse.
+#[test]
+fn bad_flag_values_exit_with_status_2() {
+    let fleet = env!("CARGO_BIN_EXE_fleet_bench");
+    let integrity = env!("CARGO_BIN_EXE_integrity_bench");
+    let serve = env!("CARGO_BIN_EXE_serve_bench");
+    for (bin, flag, value) in [
+        (serve, "--rps", "abc"),
+        (serve, "--burst", "50:120"),
+        (serve, "--seed", "x7"),
+        (serve, "--checkpoint-every", "ten"),
+        (fleet, "--crash", "1:3OO:500"),
+        (fleet, "--autoscale", "1"),
+        (fleet, "--gray-slow-factor", "1:300:six"),
+        (fleet, "--formats", "p8e1,p9e9"),
+        (integrity, "--bers", "1e-6,abc"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--quick", flag, value])
+            .output()
+            .expect("bench binary runs");
+        assert_eq!(out.status.code(), Some(2), "{bin} {flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "{bin}: stderr names {flag} and {value}: {stderr}"
         );
     }
 }

@@ -37,10 +37,12 @@
 //!   corrects single-bit storage rot in place, double-bit detections
 //!   quarantine the region (forcing the degraded path) and schedule a
 //!   bit-exact repair from the f32 master weights, and every event flows
-//!   into the report, trace counters, and telemetry.
+//!   into the report and telemetry.
 //! - **Telemetry** ([`qt_telemetry`]) — every run reports each event
 //!   into a [`qt_telemetry::TelemetrySink`] it borrows for the run. The
 //!   sink only listens, so the report is independent of its config.
+//!   The [`FleetReport`] and the sink are a run's only outputs, and
+//!   [`run_fleet`] is its one entry point.
 //!
 //! Everything runs in a single-threaded discrete-event simulation on a
 //! virtual microsecond clock, over qt-serve's [`qt_serve::EventQueue`];
@@ -70,5 +72,5 @@ pub use report::{
     AdaptEvent, Dispatch, DispatchCause, FleetOutcome, FleetReport, FleetResponse, ReplicaReport,
 };
 pub use router::{ReplicaView, Router, RouterPolicy};
-pub use sim::{audit_unflagged_corruption, run_fleet, Fleet};
+pub use sim::{audit_unflagged_corruption, run_fleet};
 pub use tenant::TenantBook;

@@ -61,7 +61,8 @@ pub struct ReplicaStats {
 
 /// Per-replica shield runtime: the parity plane over this replica's
 /// resident quantized codes, the persistent storage-fault stream that
-/// rots it, and the scrub-window cursor tying the two together.
+/// rots it, the scrub-window cursor tying the two together, and the
+/// config they were built from.
 pub struct ShieldState {
     /// Parity plane + scrub cursor + integrity counters.
     pub shield: Shield,
@@ -70,6 +71,8 @@ pub struct ShieldState {
     /// Next scrub window index — each window's faults are injected after
     /// the pass that would have corrected the previous window's.
     pub window: u64,
+    /// The normalized config this state was built from.
+    pub(crate) cfg: ShieldConfig,
 }
 
 impl ShieldState {
@@ -80,7 +83,17 @@ impl ShieldState {
             shield: qt_serve::shield_model(model, spec.format)?,
             faults: StorageFaultModel::new(cfg.storage_seed, cfg.storage_ber),
             window: 0,
+            cfg: *cfg,
         })
+    }
+
+    /// What quarantining `region` costs: its code count (the breaker's
+    /// unhealthy-element weight) and its repair time from the f32
+    /// masters, µs.
+    pub(crate) fn region_cost(&self, region: usize) -> (u64, u64) {
+        let reg = &self.shield.regions()[region];
+        let repair_us = reg.words() as u64 * self.cfg.repair_us_per_word;
+        (reg.codes_len() as u64, repair_us)
     }
 }
 
@@ -149,6 +162,25 @@ impl Replica {
         self.shield
             .as_ref()
             .is_some_and(|s| s.shield.has_quarantine())
+    }
+
+    /// Rebuild quarantined `region` bit-exact from the f32 masters and
+    /// return its repair time, µs. `None` when there is nothing to
+    /// repair: no shield, or a reboot already reloaded the plane.
+    pub(crate) fn repair(&mut self, region: usize) -> Option<u64> {
+        let state = self.shield.as_mut()?;
+        if !state
+            .shield
+            .regions()
+            .get(region)
+            .is_some_and(|g| g.is_quarantined())
+        {
+            return None;
+        }
+        let codes = qt_serve::pristine_codes_for_region(&self.engine, self.spec.format, region)?;
+        state.shield.repair_region(region, &codes);
+        self.stats.repairs += 1;
+        Some(state.region_cost(region).1)
     }
 
     /// The serving engine.

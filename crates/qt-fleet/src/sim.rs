@@ -48,11 +48,10 @@ use qt_adapt::{
 use qt_quant::HealthWindow;
 use qt_robust::{cell_seed, FaultSource, LifecycleEvent, NoFaults};
 use qt_serve::{
-    integrity_health, pristine_codes_for_region, BreakerState, Episode, EpisodeEnd, EpisodeSpec,
-    EventQueue, Ranked, Request, Route,
+    integrity_health, BreakerState, Episode, EpisodeEnd, EpisodeSpec, EventQueue, Ranked, Request,
+    Route,
 };
 use qt_telemetry::TelemetrySink;
-use qt_trace::TraceHandle;
 use qt_transformer::Model;
 use std::collections::VecDeque;
 
@@ -212,40 +211,25 @@ struct AdaptState {
 }
 
 impl AdaptState {
-    /// Replicas taking traffic: neither in reserve nor draining.
-    fn active(&self) -> usize {
-        self.admin_down
-            .iter()
-            .zip(&self.draining)
-            .filter(|(&d, &dr)| !d && !dr)
-            .count()
-    }
-
-    fn new(cfg: &FleetConfig, n: usize) -> Option<Self> {
-        if cfg.adapt_every_us == 0 {
-            return None;
-        }
-        if cfg.codel.is_none()
-            && cfg.brownout.is_none()
-            && cfg.gray.is_none()
-            && cfg.autoscale.is_none()
-        {
-            return None;
-        }
+    /// The plane for `cfg` over `n` replicas. With `adapt_every_us` 0
+    /// the whole plane is off: no sub-policy is built and no replica is
+    /// held in reserve, whatever the sub-policy configs say.
+    fn new(cfg: &FleetConfig, n: usize) -> Self {
+        let on = cfg.adapt_every_us > 0;
         let mut admin_down = vec![false; n];
-        if let Some(a) = cfg.autoscale {
+        if let Some(a) = cfg.autoscale.filter(|_| on) {
             // Hold everything above the floor in reserve; pressure has
             // to earn the rest of the band.
             for slot in admin_down.iter_mut().skip(a.min_replicas.max(1)) {
                 *slot = true;
             }
         }
-        Some(Self {
+        Self {
             every_us: cfg.adapt_every_us,
-            codel: cfg.codel.map(CodelController::new),
-            ladder: cfg.brownout.map(BrownoutLadder::new),
-            gray: cfg.gray.map(|g| GrayDetector::new(g, n)),
-            autoscale: cfg.autoscale.map(AutoscalePolicy::new),
+            codel: cfg.codel.filter(|_| on).map(CodelController::new),
+            ladder: cfg.brownout.filter(|_| on).map(BrownoutLadder::new),
+            gray: cfg.gray.filter(|_| on).map(|g| GrayDetector::new(g, n)),
+            autoscale: cfg.autoscale.filter(|_| on).map(AutoscalePolicy::new),
             admin_down,
             draining: vec![false; n],
             pending_up: 0,
@@ -254,7 +238,27 @@ impl AdaptState {
             events: Vec::new(),
             scale_ups: 0,
             scale_downs: 0,
-        })
+        }
+    }
+
+    /// Whether any sub-policy is built: only then does the plane tick.
+    fn armed(&self) -> bool {
+        self.codel.is_some()
+            || self.ladder.is_some()
+            || self.gray.is_some()
+            || self.autoscale.is_some()
+    }
+
+    /// `r` takes traffic: neither in reserve nor draining.
+    fn routable(&self, r: usize) -> bool {
+        !self.admin_down[r] && !self.draining[r]
+    }
+
+    /// Replicas taking traffic.
+    fn active(&self) -> usize {
+        (0..self.admin_down.len())
+            .filter(|&r| self.routable(r))
+            .count()
     }
 
     /// Log one scale move on `r` to the audit trail and telemetry;
@@ -314,8 +318,8 @@ fn build_replicas(
 
 /// The fleet: replicas, router, tenant book, snapshot store, and the
 /// event loop state. Build one with [`Fleet::new`], run it once with
-/// [`Fleet::run`].
-pub struct Fleet<'t> {
+/// [`Fleet::run`]; [`run_fleet`] does both.
+pub(crate) struct Fleet<'t> {
     cfg: FleetConfig,
     replicas: Vec<Replica>,
     queues: Vec<VecDeque<Job>>,
@@ -330,21 +334,14 @@ pub struct Fleet<'t> {
     /// Per-replica cursor into the breaker's transition log, so new
     /// transitions stream to telemetry exactly once.
     breaker_seen: Vec<usize>,
-    /// Adaptive control plane (None when `adapt_every_us` is 0 or no
-    /// sub-policy is configured).
-    adapt: Option<AdaptState>,
+    /// Adaptive control plane; inert when no sub-policy is armed.
+    adapt: AdaptState,
 }
 
 impl<'t> Fleet<'t> {
-    /// Build a fleet serving `model` on every replica in `cfg`.
-    ///
-    /// `faults` pairs with the replica list by index; missing entries
-    /// get [`NoFaults`] (healthy hardware). `store` is where replicas
-    /// persist and recover their health snapshots. Every fleet event
-    /// (arrival, dispatch, attempt, outcome, breaker transition, crash,
-    /// recovery, snapshot) is reported into `tel`, which should be built
-    /// for the same replica count as the fleet.
-    pub fn new(
+    /// Build a fleet serving `model` on every replica in `cfg`; the
+    /// arguments are [`run_fleet`]'s.
+    pub(crate) fn new(
         model: &Model,
         cfg: FleetConfig,
         faults: Vec<Box<dyn FaultSource + Send + Sync>>,
@@ -420,11 +417,7 @@ impl<'t> Fleet<'t> {
                 // routing-invisible, though a draining one still
                 // finishes its queue (`kick` only checks the crash
                 // schedule).
-                up: r.is_up(now)
-                    && self
-                        .adapt
-                        .as_ref()
-                        .is_none_or(|a| !a.admin_down[r.id] && !a.draining[r.id]),
+                up: r.is_up(now) && self.adapt.routable(r.id),
                 breaker: r.breaker_state(),
                 queued: self.queues[r.id].len(),
                 in_service: self.busy[r.id],
@@ -432,11 +425,6 @@ impl<'t> Fleet<'t> {
                 full_pass_us: r.full_pass_us(),
             })
             .collect()
-    }
-
-    /// Nothing in service or queued on `r`.
-    fn idle(&self, r: usize) -> bool {
-        self.busy[r] == 0 && self.queues[r].is_empty()
     }
 
     /// Which shed outcome honestly describes "the router found nothing":
@@ -612,10 +600,9 @@ impl<'t> Fleet<'t> {
             let sojourn = now.saturating_sub(job.freq.req.arrival_us);
             let dropped = self
                 .adapt
+                .codel
                 .as_mut()
-                .and_then(|a| a.codel.as_mut())
-                .map(|c| c.on_pickup(now, sojourn).is_drop())
-                .unwrap_or(false);
+                .is_some_and(|c| c.on_pickup(now, sojourn).is_drop());
             if dropped {
                 self.book.release(job.freq.tenant);
                 self.respond(&job, FleetOutcome::ShedOverload, None, None, now);
@@ -633,19 +620,19 @@ impl<'t> Fleet<'t> {
         // single-bit rot is corrected transiently (the scrubber owns the
         // in-place fix); a double-bit detection quarantines *now*, so
         // this very episode already routes down the degraded path.
-        if self.replicas[r].shield.is_some() {
-            let out = self.replicas[r]
-                .shield
-                .as_mut()
-                .unwrap()
-                .shield
-                .verify_reads();
+        if let Some(s) = self.replicas[r].shield.as_mut() {
+            let out = s.shield.verify_reads();
+            let hits: Vec<_> = out
+                .quarantined
+                .iter()
+                .map(|&g| (g, s.region_cost(g)))
+                .collect();
             if out.corrected > 0 {
                 self.replicas[r].stats.read_corrected += out.corrected;
                 self.tel.read_corrected(now, r, out.corrected);
             }
-            for region in out.quarantined {
-                self.on_quarantine(r, region, now);
+            for (region, cost) in hits {
+                self.on_quarantine(r, region, cost, now);
             }
         }
         let can_failover =
@@ -662,23 +649,17 @@ impl<'t> Fleet<'t> {
             self.tel
                 .attempt(id, r, a.start_us, a.end_us, a.flagged, a.completed);
         }
-        if let Some(a) = self.adapt.as_mut() {
-            if a.gray.is_some() {
-                // Gray signal: completed-attempt durations (pure service
-                // time, backoff excluded) in this detector window.
-                for sp in ep.spans.iter().filter(|sp| sp.completed) {
-                    a.window_lat[r].push(sp.end_us - sp.start_us);
-                }
+        if self.adapt.gray.is_some() {
+            // Gray signal: completed-attempt durations (pure service
+            // time, backoff excluded) in this detector window.
+            for sp in ep.spans.iter().filter(|sp| sp.completed) {
+                self.adapt.window_lat[r].push(sp.end_us - sp.start_us);
             }
         }
         // Ejection enforcement at the only point a breaker can close:
         // clean half-open probes on a still-ejected replica must not
         // let routine traffic back in before the *detector* clears it.
-        let still_ejected = self
-            .adapt
-            .as_ref()
-            .and_then(|a| a.gray.as_ref())
-            .is_some_and(|g| g.is_ejected(r));
+        let still_ejected = self.adapt.gray.as_ref().is_some_and(|g| g.is_ejected(r));
         if still_ejected && self.replicas[r].breaker_state() == BreakerState::Closed {
             let at = ep.spans.last().map_or(now, |sp| sp.end_us);
             self.replicas[r].breaker.get_mut().force_open(at);
@@ -746,8 +727,8 @@ impl<'t> Fleet<'t> {
 
     /// Bring `r` back at `now` through the crash-recovery path: newest
     /// snapshot loaded, breaker forced Open, traffic re-earned through
-    /// half-open probes. Returns whether the snapshot was corrupt.
-    fn rejoin(&mut self, r: usize, now: u64) -> bool {
+    /// half-open probes.
+    fn rejoin(&mut self, r: usize, now: u64) {
         let loaded = self.store.load(r);
         let corrupt = matches!(&loaded, Err(qt_serve::SnapshotError::Corrupt(_)));
         self.replicas[r].recover(loaded, now);
@@ -756,23 +737,18 @@ impl<'t> Fleet<'t> {
         // its beginning.
         self.breaker_seen[r] = 0;
         self.tel.recover(now, r, corrupt);
-        corrupt
     }
 
     /// One adaptive-control evaluation at `now`: brownout ladder, gray
     /// detection, autoscale — all from sim-internal signals only.
     fn adapt_tick(&mut self, now: u64) {
-        // Take/put-back so the adapt state and the fleet can be mutated
-        // together without fighting the borrow checker.
-        let Some(mut a) = self.adapt.take() else {
-            return;
-        };
+        let a = &mut self.adapt;
         // Queue pressure over the replicas currently taking traffic.
         // With nothing routable, pressure saturates: that *is* overload.
         let mut cap = 0usize;
         let mut used = 0usize;
         for r in &self.replicas {
-            if r.is_up(now) && !a.admin_down[r.id] && !a.draining[r.id] {
+            if r.is_up(now) && a.routable(r.id) {
                 cap += r.spec.queue_cap;
                 used += self.queues[r.id].len();
             }
@@ -883,37 +859,24 @@ impl<'t> Fleet<'t> {
             Some((ScaleDecision::Down, _)) => {
                 // Drain the highest-id active replica: stop routing to
                 // it, let its queue finish.
-                if let Some(r) = (0..self.replicas.len())
-                    .rev()
-                    .find(|&r| !a.admin_down[r] && !a.draining[r])
-                {
+                if let Some(r) = (0..self.replicas.len()).rev().find(|&r| a.routable(r)) {
                     a.draining[r] = true;
                     a.scale_downs += 1;
                     a.record_scale(now, r, "scale_down_start", active - 1, self.tel);
-                    a.finish_drain(r, now, self.idle(r), self.tel);
+                    let idle = self.busy[r] == 0 && self.queues[r].is_empty();
+                    a.finish_drain(r, now, idle, self.tel);
                 }
             }
             _ => {}
         }
-        self.adapt = Some(a);
     }
 
     /// Record a newly quarantined region on `r`: counters, the breaker
     /// signal (uncorrectable storage is fed to the breaker as the
     /// non-finite read it would eventually become), telemetry, the audit
-    /// trail, and the scheduled repair completion.
-    fn on_quarantine(&mut self, r: usize, region: usize, now: u64) {
-        let Some(sc) = self.cfg.shield else {
-            return;
-        };
-        let (elements, words) = {
-            let s = self.replicas[r]
-                .shield
-                .as_ref()
-                .expect("quarantine without shield");
-            let reg = &s.shield.regions()[region];
-            (reg.codes_len() as u64, reg.words() as u64)
-        };
+    /// trail, and the scheduled repair completion. `(codes, repair_us)`
+    /// is the region's [`crate::ShieldState::region_cost`].
+    fn on_quarantine(&mut self, r: usize, region: usize, (codes, repair_us): (u64, u64), now: u64) {
         {
             let stats = &mut self.replicas[r].stats;
             stats.scrub_uncorrectable += 1;
@@ -922,7 +885,7 @@ impl<'t> Fleet<'t> {
         self.replicas[r]
             .breaker
             .get_mut()
-            .on_primary_outcome(&integrity_health(elements, 1), now);
+            .on_primary_outcome(&integrity_health(codes, 1), now);
         self.report.integrity_events.push(AdaptEvent {
             at_us: now,
             kind: "quarantine",
@@ -930,82 +893,61 @@ impl<'t> Fleet<'t> {
             detail: region as f64,
         });
         self.tel.quarantine(now, r, region);
-        self.events
-            .push(now + words * sc.repair_us_per_word, Ev::Repair(r, region));
+        self.events.push(now + repair_us, Ev::Repair(r, region));
     }
 
     /// One background scrub window on `r`: decode under the bandwidth
     /// budget (correcting single-bit rot in place), quarantine double-bit
-    /// detections, then — when another window follows — land the next
+    /// detections, and — when another window follows — land the next
     /// window's storage faults, so every injected fault gets exactly one
-    /// later pass to be caught by.
+    /// later pass to be caught by. A replica without a code plane has no
+    /// shield, and its ticks are no-ops.
     fn scrub_tick(&mut self, r: usize, now: u64, inject_next: bool) {
-        let Some(sc) = self.cfg.shield else {
-            return;
-        };
+        let rep = &mut self.replicas[r];
         // A down replica's storage is moot: the reboot reloads the plane
         // from the f32 masters anyway (see Replica::recover).
-        if !self.replicas[r].is_up(now) || self.replicas[r].shield.is_none() {
+        if !rep.is_up(now) {
             return;
         }
-        let out = {
-            let state = self.replicas[r].shield.as_mut().unwrap();
-            state.shield.scrub(sc.scrub_budget_words)
+        let Some(state) = rep.shield.as_mut() else {
+            return;
         };
+        let out = state.shield.scrub(state.cfg.scrub_budget_words);
+        let hits: Vec<_> = out
+            .quarantined
+            .iter()
+            .map(|&g| (g, state.region_cost(g)))
+            .collect();
         let corrected = out.corrected.len() as u64;
-        self.replicas[r].stats.scrub_corrected += corrected;
-        if corrected > 0 || !out.quarantined.is_empty() {
-            self.tel
-                .scrub(now, r, corrected, out.quarantined.len() as u64);
-        }
-        for region in out.quarantined {
-            self.on_quarantine(r, region, now);
+        rep.stats.scrub_corrected += corrected;
+        if corrected > 0 || !hits.is_empty() {
+            self.tel.scrub(now, r, corrected, hits.len() as u64);
         }
         if inject_next {
-            let state = self.replicas[r].shield.as_mut().unwrap();
             let total_bits = state.shield.total_bits();
-            let window = state.window;
+            let flips = state.faults.window_flips(r, state.window, total_bits);
             state.window += 1;
-            let flips = state.faults.window_flips(r, window, total_bits);
             for &bit in &flips {
                 state.shield.inject_global_bit(bit);
             }
-            self.replicas[r].stats.storage_flips += flips.len() as u64;
+            rep.stats.storage_flips += flips.len() as u64;
+        }
+        for (region, cost) in hits {
+            self.on_quarantine(r, region, cost, now);
         }
     }
 
     /// A quarantined region's repair completes: re-quantize the pristine
-    /// f32 masters and swap the plane back in, bit-exact. A reboot in
-    /// the interim already reloaded everything, so a stale repair
-    /// no-ops; a repair landing while the replica is down is moot for
-    /// the same reason.
+    /// f32 masters and swap the plane back in, bit-exact. A repair
+    /// landing while the replica is down is moot, since the reboot
+    /// reloads everything.
     fn finish_repair(&mut self, r: usize, region: usize, now: u64) {
-        let Some(sc) = self.cfg.shield else {
-            return;
-        };
-        if !self.replicas[r].is_up(now) {
+        let rep = &mut self.replicas[r];
+        if !rep.is_up(now) {
             return;
         }
-        let quarantined = self.replicas[r].shield.as_ref().is_some_and(|s| {
-            s.shield
-                .regions()
-                .get(region)
-                .is_some_and(|g| g.is_quarantined())
-        });
-        if !quarantined {
+        let Some(repair_us) = rep.repair(region) else {
             return;
-        }
-        let format = self.replicas[r].spec.format;
-        let Some(codes) = pristine_codes_for_region(self.replicas[r].engine(), format, region)
-        else {
-            return;
-        };
-        let words = {
-            let rep = &mut self.replicas[r];
-            let state = rep.shield.as_mut().unwrap();
-            state.shield.repair_region(region, &codes);
-            rep.stats.repairs += 1;
-            state.shield.regions()[region].words() as u64
         };
         self.report.integrity_events.push(AdaptEvent {
             at_us: now,
@@ -1013,14 +955,37 @@ impl<'t> Fleet<'t> {
             replica: Some(r),
             detail: region as f64,
         });
-        self.tel
-            .repair(now, r, region, words * sc.repair_us_per_word);
+        self.tel.repair(now, r, region, repair_us);
+    }
+
+    /// A request reaches the fleet edge: the brownout gate, then the
+    /// tenant quota, then routing.
+    fn admit(&mut self, freq: FleetRequest, now: u64) {
+        self.tel.arrival(now, freq.req.id);
+        // Brownout gate, before the quota book: a rung that sheds this
+        // tier rejects at the door (no quota churn); a rung that
+        // degrades it marks the job for economy service.
+        let level = self
+            .adapt
+            .ladder
+            .as_ref()
+            .map_or(Brownout::Normal, |l| l.level());
+        let tier = PriorityTier::of_user(freq.user);
+        let mut job = Job::new(freq);
+        if level.sheds(tier) {
+            self.report.brownout_sheds += 1;
+            self.respond(&job, FleetOutcome::ShedOverload, None, None, now);
+        } else if !self.book.admit(job.freq.tenant) {
+            self.respond(&job, FleetOutcome::ShedQuota, None, None, now);
+        } else {
+            job.economy = level.economy(tier);
+            self.dispatch_or_shed(job, now, DispatchCause::Fresh);
+        }
     }
 
     /// Run the fleet over `requests` (sorted by arrival). Consumes the
     /// fleet: one run per construction, so no state leaks between runs.
-    pub fn run(mut self, requests: &[FleetRequest], trace: Option<&TraceHandle>) -> FleetReport {
-        let span = trace.map(|t| t.borrow_mut().begin("fleet.sim", "fleet"));
+    fn run(mut self, requests: &[FleetRequest]) -> FleetReport {
         let last_arrival = requests.last().map(|r| r.req.arrival_us).unwrap_or(0);
         for fr in requests {
             self.events
@@ -1040,9 +1005,12 @@ impl<'t> Fleet<'t> {
             self.events
                 .push(self.cfg.snapshot_every_us, Ev::SnapshotTick);
         }
-        if let Some(every) = self.adapt.as_ref().map(|a| a.every_us) {
-            self.events.push(every, Ev::AdaptTick);
+        // No tick without a sub-policy: every popped event advances
+        // `end_us`, so an idle train would still move the report.
+        if self.adapt.armed() {
+            self.events.push(self.adapt.every_us, Ev::AdaptTick);
         }
+        // Every replica gets a scrub train, shielded or not.
         if let Some(sc) = self.cfg.shield {
             for r in 0..self.replicas.len() {
                 self.events.push(sc.scrub_every_us, Ev::ScrubTick(r));
@@ -1052,36 +1020,7 @@ impl<'t> Fleet<'t> {
         while let Some((now, ev)) = self.events.pop() {
             self.report.end_us = self.report.end_us.max(now);
             match ev {
-                Ev::Arrival(freq) => {
-                    self.tel.arrival(now, freq.req.id);
-                    // Brownout gate, before the quota book: a rung that
-                    // sheds this tier rejects at the door (no quota
-                    // churn); a rung that degrades it marks the job for
-                    // economy service.
-                    let level = self
-                        .adapt
-                        .as_ref()
-                        .and_then(|a| a.ladder.as_ref())
-                        .map(|l| l.level())
-                        .unwrap_or(Brownout::Normal);
-                    let tier = PriorityTier::of_user(freq.user);
-                    if level.sheds(tier) {
-                        self.report.brownout_sheds += 1;
-                        let job = Job::new(*freq);
-                        self.respond(&job, FleetOutcome::ShedOverload, None, None, now);
-                        self.drain_breaker_transitions();
-                        continue;
-                    }
-                    if !self.book.admit(freq.tenant) {
-                        let job = Job::new(*freq);
-                        self.respond(&job, FleetOutcome::ShedQuota, None, None, now);
-                        self.drain_breaker_transitions();
-                        continue;
-                    }
-                    let mut job = Job::new(*freq);
-                    job.economy = level.economy(tier);
-                    self.dispatch_or_shed(job, now, DispatchCause::Fresh);
-                }
+                Ev::Arrival(freq) => self.admit(*freq, now),
                 Ev::Done(r, tenant) => {
                     if let Some(t) = tenant {
                         self.book.release(t);
@@ -1093,10 +1032,8 @@ impl<'t> Fleet<'t> {
                     self.kick(r, now);
                     // A draining replica whose last work just finished
                     // completes its scale-down.
-                    let idle = self.idle(r);
-                    if let Some(a) = self.adapt.as_mut() {
-                        a.finish_drain(r, now, idle, self.tel);
-                    }
+                    let idle = self.busy[r] == 0 && self.queues[r].is_empty();
+                    self.adapt.finish_drain(r, now, idle, self.tel);
                 }
                 Ev::Failover(job, cause) => {
                     self.dispatch_or_shed(*job, now, cause);
@@ -1106,17 +1043,6 @@ impl<'t> Fleet<'t> {
                     self.busy[r] = 0;
                     self.tel.crash(now, r);
                     let drained: Vec<Job> = self.queues[r].drain(..).collect();
-                    if let Some(t) = trace {
-                        t.borrow_mut().instant(
-                            "fleet.crash",
-                            "fleet",
-                            vec![
-                                ("replica".to_string(), r as f64),
-                                ("at_us".to_string(), now as f64),
-                                ("requeued".to_string(), drained.len() as f64),
-                            ],
-                        );
-                    }
                     for mut job in drained {
                         job.excluded.push(r);
                         if self.dispatch_or_shed(job, now, DispatchCause::Requeue) {
@@ -1125,55 +1051,31 @@ impl<'t> Fleet<'t> {
                     }
                     // A crash empties a draining replica, and no Done will
                     // ever arrive for it: its scale-down completes now.
-                    if let Some(a) = self.adapt.as_mut() {
-                        a.finish_drain(r, now, true, self.tel);
-                    }
+                    self.adapt.finish_drain(r, now, true, self.tel);
                 }
-                Ev::Lifecycle(r, LifecycleEvent::Recover) => {
-                    let corrupt = self.rejoin(r, now);
-                    if let Some(t) = trace {
-                        let mut s = t.borrow_mut();
-                        s.instant(
-                            "fleet.recover",
-                            "fleet",
-                            vec![
-                                ("replica".to_string(), r as f64),
-                                ("at_us".to_string(), now as f64),
-                                ("snapshot_corrupt".to_string(), corrupt as u8 as f64),
-                            ],
-                        );
-                        if corrupt {
-                            s.metrics_mut()
-                                .counter_add("fleet.snapshot_corrupt", &[], 1);
-                        }
-                    }
-                }
+                Ev::Lifecycle(r, LifecycleEvent::Recover) => self.rejoin(r, now),
                 Ev::Scale(r) => {
                     // Cold start elapsed: the booted replica joins via
                     // the exact crash-recovery path.
                     self.rejoin(r, now);
-                    if let Some(a) = self.adapt.as_mut() {
-                        a.finish_boot(r, now, self.tel);
-                    }
+                    self.adapt.finish_boot(r, now, self.tel);
                 }
                 Ev::AdaptTick => {
                     self.adapt_tick(now);
-                    let every = self.adapt.as_ref().map(|a| a.every_us).unwrap_or(0);
-                    if every > 0 && now < last_arrival {
-                        self.events.push(now + every, Ev::AdaptTick);
+                    if now < last_arrival {
+                        self.events.push(now + self.adapt.every_us, Ev::AdaptTick);
                     }
                 }
                 Ev::Repair(r, region) => {
                     self.finish_repair(r, region, now);
                 }
                 Ev::ScrubTick(r) => {
-                    let every = self.cfg.shield.map(|s| s.scrub_every_us).unwrap_or(0);
                     // The final window scrubs without injecting, so every
                     // injected fault sees at least one later pass.
-                    let more = every > 0 && now < last_arrival;
+                    let more = now < last_arrival;
                     self.scrub_tick(r, now, more);
-                    if more {
-                        self.events.push(now + every, Ev::ScrubTick(r));
+                    if let (true, Some(sc)) = (more, self.cfg.shield) {
+                        self.events.push(now + sc.scrub_every_us, Ev::ScrubTick(r));
                     }
                 }
                 Ev::SnapshotTick => {
@@ -1202,18 +1104,18 @@ impl<'t> Fleet<'t> {
         report.policy = self.cfg.policy.name().to_string();
         report.offered = requests.len() as u64;
         report.tenant_denials = self.book.denials().collect();
-        let ladder = self.adapt.as_ref().and_then(|a| a.ladder.as_ref());
-        report.brownout_peak = ladder
+        let a = self.adapt;
+        report.brownout_peak = a
+            .ladder
+            .as_ref()
             .map_or(Brownout::Normal, |l| l.peak())
             .name()
             .to_string();
-        if let Some(a) = self.adapt.take() {
-            report.codel_drops = a.codel.as_ref().map_or(0, |c| c.drops());
-            report.gray_ejections = a.gray.as_ref().map_or(0, |g| g.ejections());
-            report.scale_ups = a.scale_ups;
-            report.scale_downs = a.scale_downs;
-            report.adapt_events = a.events;
-        }
+        report.codel_drops = a.codel.as_ref().map_or(0, |c| c.drops());
+        report.gray_ejections = a.gray.as_ref().map_or(0, |g| g.ejections());
+        report.scale_ups = a.scale_ups;
+        report.scale_downs = a.scale_downs;
+        report.adapt_events = a.events;
         let sum = |f: fn(&ReplicaStats) -> u64| self.replicas.iter().map(|r| f(&r.stats)).sum();
         report.flagged_attempts = sum(|s| s.flagged_attempts);
         report.bits_flipped = sum(|s| s.bits_flipped);
@@ -1235,91 +1137,29 @@ impl<'t> Fleet<'t> {
                 final_breaker: r.breaker_state(),
             })
             .collect();
-
-        if let Some(t) = trace {
-            let mut s = t.borrow_mut();
-            // Per-replica breaker history: one instant per transition, so
-            // the trace timeline and the report agree by construction.
-            for r in &self.replicas {
-                for tr in r.breaker.borrow().transitions() {
-                    s.instant(
-                        "fleet.breaker",
-                        "fleet",
-                        vec![
-                            ("replica".to_string(), r.id as f64),
-                            ("at_us".to_string(), tr.at_us as f64),
-                            ("to".to_string(), tr.to.code() as f64),
-                            ("unhealthy_rate".to_string(), tr.unhealthy_rate),
-                        ],
-                    );
-                }
-            }
-            let m = s.metrics_mut();
-            for r in &self.replicas {
-                let rid = r.id.to_string();
-                for tr in r.breaker.borrow().transitions() {
-                    m.counter_add(
-                        "fleet.breaker_transitions",
-                        &[("replica", &rid), ("to", tr.to.name())],
-                        1,
-                    );
-                }
-                if r.stats.snapshot_corrupt > 0 {
-                    m.counter_add(
-                        "fleet.snapshot_corrupt",
-                        &[("replica", &rid)],
-                        r.stats.snapshot_corrupt,
-                    );
-                }
-            }
-            m.counter_add("fleet.offered", &[], report.offered);
-            m.counter_add("fleet.served_primary", &[], report.served_primary);
-            m.counter_add("fleet.served_degraded", &[], report.served_degraded);
-            m.counter_add("fleet.shed_queue_full", &[], report.shed_queue_full);
-            m.counter_add("fleet.shed_quota", &[], report.shed_quota);
-            m.counter_add("fleet.shed_no_replica", &[], report.shed_no_replica);
-            m.counter_add("fleet.shed_overload", &[], report.shed_overload);
-            m.counter_add("fleet.deadline_miss", &[], report.deadline_miss);
-            m.counter_add("fleet.failovers", &[], report.failovers);
-            m.counter_add("fleet.hedges", &[], report.hedges);
-            m.counter_add("fleet.requeued_on_crash", &[], report.requeued_on_crash);
-            m.counter_add("fleet.codel_drops", &[], report.codel_drops);
-            m.counter_add("fleet.brownout_sheds", &[], report.brownout_sheds);
-            m.counter_add("fleet.gray_ejections", &[], report.gray_ejections);
-            m.counter_add("fleet.scale_ups", &[], report.scale_ups);
-            m.counter_add("fleet.scale_downs", &[], report.scale_downs);
-            m.counter_add("fleet.storage_flips", &[], report.storage_flips);
-            m.counter_add("fleet.scrub_corrected", &[], report.scrub_corrected);
-            m.counter_add("fleet.read_corrected", &[], report.read_corrected);
-            m.counter_add("fleet.scrub_uncorrectable", &[], report.scrub_uncorrectable);
-            m.counter_add("fleet.quarantines", &[], report.quarantines);
-            m.counter_add("fleet.repairs", &[], report.repairs);
-            for r in &report.responses {
-                if !r.outcome.is_shed() {
-                    m.observe("fleet.latency_us", &[], r.latency_us as f32);
-                }
-            }
-            if let Some(span) = span {
-                s.end(span);
-            }
-        }
         report
     }
 }
 
-/// Convenience one-shot: build a [`Fleet`] and run it, reporting every
-/// event into `tel` (live time-series, SLO burn-rate evaluation, request
-/// span trees, flight recorders).
+/// Run `requests` (sorted by arrival) through a fleet serving `model`
+/// on every replica in `cfg`, and return its report.
+///
+/// `faults` pairs with the replica list by index; missing entries get
+/// [`NoFaults`] (healthy hardware). `store` is where replicas persist
+/// and recover their health snapshots. Every fleet event (arrival,
+/// dispatch, attempt, outcome, breaker transition, crash, recovery,
+/// snapshot, adaptive decision, scrub) is reported into `tel` — live
+/// time-series, SLO burn-rate evaluation, request span trees, flight
+/// recorders — which should be built for the same replica count.
 pub fn run_fleet(
     model: &Model,
     cfg: &FleetConfig,
     requests: &[FleetRequest],
     faults: Vec<Box<dyn FaultSource + Send + Sync>>,
     store: Box<dyn SnapStore>,
-    trace: Option<&TraceHandle>,
     tel: &mut TelemetrySink,
 ) -> FleetReport {
-    Fleet::new(model, cfg.clone(), faults, store, tel).run(requests, trace)
+    Fleet::new(model, cfg.clone(), faults, store, tel).run(requests)
 }
 
 /// Replay audit: re-execute the *final* attempt of every served-primary
@@ -1410,7 +1250,6 @@ mod tests {
             &reqs,
             Vec::new(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1451,7 +1290,6 @@ mod tests {
             &reqs,
             Vec::new(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1497,7 +1335,6 @@ mod tests {
             &reqs,
             faults,
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1546,7 +1383,6 @@ mod tests {
             &reqs,
             Vec::new(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1589,7 +1425,6 @@ mod tests {
             &reqs,
             Vec::new(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1661,7 +1496,6 @@ mod tests {
             &reqs,
             Vec::new(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1716,7 +1550,6 @@ mod tests {
             &reqs,
             Vec::new(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut sink(cfg.replicas.len()),
         );
         assert!(report.reconciles(), "{report:?}");
@@ -1805,7 +1638,7 @@ mod tests {
         .requests(model.cfg.vocab);
         let run = |cfg: &FleetConfig| {
             let store = Box::new(MemSnapStore::new());
-            run_fleet(&model, cfg, &reqs, Vec::new(), store, None, &mut sink(2))
+            run_fleet(&model, cfg, &reqs, Vec::new(), store, &mut sink(2))
         };
         let first = |r: &FleetReport, kind: &str| {
             r.adapt_events
@@ -1835,6 +1668,59 @@ mod tests {
                 .any(|d| d.replica == 1 && d.at_us > crash_at),
             "replica 1 takes traffic again after its second boot"
         );
+    }
+
+    #[test]
+    fn adapt_plane_off_or_empty_leaves_the_report_alone() {
+        let model = tiny_model();
+        let pass = model.blocks_per_forward() * ReplicaSpec::BASE_BLOCK_US;
+        // 4× one replica's capacity: an armed ladder, CoDel or
+        // autoscaler would each change this run.
+        let reqs = FleetLoadSpec {
+            rps: 4.0 * 1e6 / pass as f64,
+            duration_us: 30 * pass,
+            shape: ArrivalShape::Constant,
+            deadline_us: 0,
+            ..FleetLoadSpec::default()
+        }
+        .requests(model.cfg.vocab);
+        let base = FleetConfig {
+            replicas: vec![ReplicaSpec::new(ElemFormat::P8E1); 3],
+            ..FleetConfig::default()
+        };
+        let run = |cfg: &FleetConfig| {
+            let store = Box::new(MemSnapStore::new());
+            run_fleet(&model, cfg, &reqs, Vec::new(), store, &mut sink(3))
+        };
+        let plain = run(&base);
+        // Period 0 switches the whole plane off, sub-policies included.
+        let off = FleetConfig {
+            adapt_every_us: 0,
+            codel: Some(qt_adapt::CodelConfig::default()),
+            brownout: Some(qt_adapt::BrownoutConfig::default()),
+            autoscale: Some(qt_adapt::AutoscaleConfig {
+                min_replicas: 1,
+                max_replicas: 3,
+                ..qt_adapt::AutoscaleConfig::default()
+            }),
+            ..base.clone()
+        };
+        assert_eq!(run(&off), plain);
+        assert_ne!(
+            run(&FleetConfig {
+                adapt_every_us: 2 * pass,
+                ..off
+            }),
+            plain,
+            "the same sub-policies act once the plane ticks"
+        );
+        // A period with no sub-policy schedules no tick: one landing
+        // after the last event would move `end_us`.
+        let empty = FleetConfig {
+            adapt_every_us: plain.end_us + 1,
+            ..base
+        };
+        assert_eq!(run(&empty), plain);
     }
 
     #[test]
@@ -1882,7 +1768,7 @@ mod tests {
         );
         let run = |tel: &mut TelemetrySink| {
             let store = Box::new(MemSnapStore::new());
-            run_fleet(&model, &cfg, &reqs, Vec::new(), store, None, tel)
+            run_fleet(&model, &cfg, &reqs, Vec::new(), store, tel)
         };
         let observed = run(&mut tel);
         // The telemetry config changes nothing about the run itself.
@@ -1958,7 +1844,6 @@ mod tests {
                 &reqs,
                 Vec::new(),
                 Box::new(MemSnapStore::new()),
-                None,
                 &mut sink(cfg.replicas.len()),
             )
         };
@@ -2011,7 +1896,7 @@ mod tests {
         let st = fleet.replicas[0].shield.as_mut().unwrap();
         st.shield.inject(0, 1, 7);
         st.shield.inject(0, 1, 52);
-        let report = fleet.run(&reqs, None);
+        let report = fleet.run(&reqs);
         assert!(report.reconciles(), "{report:?}");
         assert_eq!(report.quarantines, 1, "{report:?}");
         assert_eq!(report.repairs, 1, "repair restored the region");
@@ -2074,7 +1959,6 @@ mod tests {
                 &reqs,
                 faults,
                 Box::new(MemSnapStore::new()),
-                None,
                 &mut sink(cfg.replicas.len()),
             )
         };

@@ -121,7 +121,6 @@ fn gray_run(slow: bool) -> FleetReport {
         &gray_load(23),
         no_faults(3),
         Box::new(MemSnapStore::new()),
-        None,
         &mut TelemetrySink::new(TelemetryConfig::default(), 3),
     )
 }
@@ -233,7 +232,6 @@ fn adaptive_surface_is_byte_identical_across_thread_pools() {
                 &reqs,
                 no_faults(3),
                 Box::new(MemSnapStore::new()),
-                None,
                 &mut TelemetrySink::new(TelemetryConfig::default(), 3),
             );
             assert!(report.reconciles());
@@ -296,7 +294,6 @@ fn brownout_beats_baseline_shedding_for_paid_tier_under_overload() {
             &reqs,
             faults(),
             Box::new(MemSnapStore::new()),
-            None,
             &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
         );
         assert!(report.reconciles());
@@ -321,12 +318,11 @@ fn brownout_beats_baseline_shedding_for_paid_tier_under_overload() {
 
 /// Validate the `fleet_bench` adaptive scoreboard schema. Runs over the
 /// file named by `QT_VALIDATE_ADAPT` (CI's adapt-smoke job runs the
-/// binary first); skips silently when unset. `QT_ADAPT_MODE` layers
-/// scenario expectations: `overload` (ladder walked, reserve booted),
-/// `gray` (the slow replica ejected) or `quiet` (plane armed but idle).
+/// binary first); skips silently when unset. `QT_ADAPT_MODE` adds the
+/// scenario contract of `check_adapt_mode`.
 #[test]
 fn env_named_adapt_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_ADAPT") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_ADAPT") else {
         return;
     };
     let mode = std::env::var("QT_ADAPT_MODE").unwrap_or_default();
@@ -390,7 +386,21 @@ fn env_named_adapt_json_validates() {
                 sev = d;
             }
         }
-        match mode.as_str() {
+    }
+    check_adapt_mode(&v, &mode);
+}
+
+/// The scenario contract `QT_ADAPT_MODE` names, checked on every policy
+/// section of a `BENCH_adapt.json`: `overload` (ladder walked, reserve
+/// booted), `gray` (the slow replica ejected) or `quiet` (plane armed
+/// but idle). An empty mode checks the schema alone; any other mode is
+/// a typo that would otherwise pass silently, so it panics.
+fn check_adapt_mode(v: &serde_json::Value, mode: &str) {
+    for p in v["policies"].as_array().expect("per-policy sections") {
+        let name = p["policy"].as_str().unwrap_or("?");
+        let peak = p["brownout_peak"].as_str().unwrap_or("?");
+        let events = p["events"].as_array().expect("adapt audit trail");
+        match mode {
             "overload" => {
                 assert_ne!(peak, "normal", "{name}: overload must walk the ladder");
                 assert!(
@@ -441,7 +451,15 @@ fn env_named_adapt_json_validates() {
                     "{name}: no adapt events on a healthy run"
                 );
             }
-            _ => {}
+            "" => {}
+            other => panic!("unknown QT_ADAPT_MODE {other:?}; accepted: overload, gray, quiet"),
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "unknown QT_ADAPT_MODE")]
+fn adapt_validator_rejects_an_unknown_mode() {
+    let v = serde_json::from_str(r#"{"policies": [{"policy": "health_aware", "events": []}]}"#);
+    check_adapt_mode(&v.unwrap(), "grey");
 }

@@ -286,7 +286,7 @@ fn atomic_write_leaves_no_partial_files() {
 /// first); a no-op when unset so plain `cargo test` stays hermetic.
 #[test]
 fn env_named_ckpt_corruption_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_CKPT_TABLE") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_CKPT_TABLE") else {
         return;
     };
     let text = std::fs::read_to_string(&path).expect("tab09_ckpt_corruption.json readable");

@@ -93,7 +93,6 @@ fn chaos_run(policy: RouterPolicy, seed: u64, rps_passes: f64, passes: u64) -> F
         &chaos_load(seed, rps_passes, passes),
         chaos_faults(2e-3),
         Box::new(MemSnapStore::new()),
-        None,
         &mut TelemetrySink::new(TelemetryConfig::default(), 3),
     )
 }
@@ -128,7 +127,6 @@ fn crash_under_corruption_fails_over_recovers_and_replays_clean() {
         &requests,
         chaos_faults(2e-3),
         Box::new(MemSnapStore::new()),
-        None,
         &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
     );
     assert!(report.reconciles(), "counters reconcile to offered load");
@@ -319,7 +317,6 @@ fn cached_gray_run(seed: u64) -> std::sync::Arc<FleetReport> {
                 &load,
                 vec![Box::new(NoFaults), Box::new(NoFaults), Box::new(NoFaults)],
                 Box::new(MemSnapStore::new()),
-                None,
                 &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
             ))
         })
@@ -374,7 +371,7 @@ proptest! {
 /// is unset.
 #[test]
 fn env_named_fleet_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_FLEET") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_FLEET") else {
         return;
     };
     let text = std::fs::read_to_string(&path).expect("BENCH_fleet.json readable");

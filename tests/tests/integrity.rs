@@ -194,7 +194,6 @@ fn rot_run(ber: f64, seed: u64) -> (FleetConfig, Vec<qt_fleet::FleetRequest>, Fl
         &reqs,
         no_faults(2),
         Box::new(MemSnapStore::new()),
-        None,
         &mut TelemetrySink::new(TelemetryConfig::default(), cfg.replicas.len()),
     );
     (cfg, reqs, report)
@@ -262,12 +261,11 @@ fn integrity_surface_is_byte_identical_across_thread_pools() {
 
 /// Validates the `BENCH_integrity.json` schema of the artifact named by
 /// `QT_VALIDATE_INTEGRITY` (CI's integrity-smoke job runs the binary
-/// first); skips silently when unset. `QT_INTEGRITY_MODE` layers
-/// scenario expectations: `scrub` (rot injected and handled) or `quiet`
-/// (shield armed over clean storage, zero activity).
+/// first); skips silently when unset. `QT_INTEGRITY_MODE` adds the
+/// scenario contract of `check_integrity_mode`.
 #[test]
 fn env_named_integrity_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_INTEGRITY") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_INTEGRITY") else {
         return;
     };
     let mode = std::env::var("QT_INTEGRITY_MODE").unwrap_or_default();
@@ -310,11 +308,21 @@ fn env_named_integrity_json_validates() {
             "{name}: telemetry and report must agree on corrections"
         );
     }
+    check_integrity_mode(&v, &mode);
+}
+
+/// The scenario contract `QT_INTEGRITY_MODE` names, checked on a
+/// `BENCH_integrity.json`: `scrub` (rot injected and handled) or `quiet`
+/// (shield armed over clean storage, zero activity). An empty mode
+/// checks the schema alone; any other mode is a typo that would
+/// otherwise pass silently, so it panics.
+fn check_integrity_mode(v: &serde_json::Value, mode: &str) {
+    let legs = v["legs"].as_array().expect("per-leg sections");
     let protected = &legs[0];
     let quiet = &legs[1];
     assert_eq!(protected["leg"].as_str(), Some("protected"));
     assert_eq!(quiet["leg"].as_str(), Some("quiet"));
-    match mode.as_str() {
+    match mode {
         "scrub" => {
             let flips = protected["storage_flips"].as_u64().unwrap_or(0);
             assert!(flips > 0, "scrub mode: no rot was injected");
@@ -343,6 +351,18 @@ fn env_named_integrity_json_validates() {
                 );
             }
         }
-        _ => {}
+        "" => {}
+        other => panic!("unknown QT_INTEGRITY_MODE {other:?}; accepted: scrub, quiet"),
     }
+}
+
+#[test]
+#[should_panic(expected = "unknown QT_INTEGRITY_MODE")]
+fn integrity_validator_rejects_an_unknown_mode() {
+    let legs = [
+        serde_json::json!({ "leg": "protected" }),
+        serde_json::json!({ "leg": "quiet" }),
+    ];
+    let v = serde_json::json!({ "legs": legs });
+    check_integrity_mode(&v, "scrubbed");
 }

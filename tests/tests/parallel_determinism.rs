@@ -233,7 +233,7 @@ fn chunk_task_counter_is_thread_count_invariant() {
 /// skips silently when the variable is unset.
 #[test]
 fn env_named_kernels_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_KERNELS") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_KERNELS") else {
         return;
     };
     let text = std::fs::read_to_string(&path).expect("BENCH_kernels.json readable");

@@ -231,9 +231,10 @@ proptest! {
 /// Validate the `serve_bench` output schema. Runs over the file named by
 /// `QT_VALIDATE_SERVE` (CI's serve-smoke job runs the binary first);
 /// skips silently when the variable is unset.
+/// `QT_SERVE_MODE` adds the scenario contract of `check_serve_mode`.
 #[test]
 fn env_named_serve_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_SERVE") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_SERVE") else {
         return;
     };
     let text = std::fs::read_to_string(&path).expect("BENCH_serve.json readable");
@@ -264,14 +265,31 @@ fn env_named_serve_json_validates() {
         v["breaker_transitions"].as_array().is_some(),
         "transition log present"
     );
-    // Mode contract from the workflow: overload runs must shed or miss,
-    // light runs must do neither.
-    match std::env::var("QT_SERVE_MODE").as_deref() {
-        Ok("overload") => assert!(
+    check_serve_mode(&v, &std::env::var("QT_SERVE_MODE").unwrap_or_default());
+}
+
+/// The scenario contract `QT_SERVE_MODE` names, checked on a
+/// `BENCH_serve.json`: `overload` runs must both shed and miss, `light`
+/// runs must do neither. An empty mode checks the schema alone; any
+/// other mode is a typo that would otherwise pass silently, so it
+/// panics.
+fn check_serve_mode(v: &serde_json::Value, mode: &str) {
+    let shed = v["shed_queue_full"].as_u64().expect("shed_queue_full");
+    let miss = v["deadline_miss"].as_u64().expect("deadline_miss");
+    match mode {
+        "overload" => assert!(
             shed > 0 && miss > 0,
             "overload run must both shed and miss (shed {shed}, miss {miss})"
         ),
-        Ok("light") => assert_eq!((shed, miss), (0, 0), "light run must neither shed nor miss"),
-        _ => {}
+        "light" => assert_eq!((shed, miss), (0, 0), "light run must neither shed nor miss"),
+        "" => {}
+        other => panic!("unknown QT_SERVE_MODE {other:?}; accepted: overload, light"),
     }
+}
+
+#[test]
+#[should_panic(expected = "unknown QT_SERVE_MODE")]
+fn serve_validator_rejects_an_unknown_mode() {
+    let v = serde_json::json!({ "shed_queue_full": 0, "deadline_miss": 0 });
+    check_serve_mode(&v, "overloaded");
 }

@@ -113,7 +113,6 @@ fn observed_chaos_run(seed: u64, flight_cap: usize) -> (qt_fleet::FleetReport, T
         &chaos_load(seed, 2.0, 24),
         chaos_faults(),
         Box::new(MemSnapStore::new()),
-        None,
         &mut sink,
     );
     (report, sink)
@@ -332,12 +331,11 @@ fn windowed_series_honours_retention() {
 /// Validate the `fleet_bench` telemetry scoreboard schema. Runs over
 /// the file named by `QT_VALIDATE_TELEMETRY` (CI's telemetry-smoke job
 /// runs the binary first); skips silently when the variable is unset.
-/// `QT_TELEMETRY_MODE=crash` additionally requires burn-rate alert
-/// fires and a crash flight dump; `QT_TELEMETRY_MODE=healthy` requires
-/// zero alert transitions and zero crash dumps.
+/// `QT_TELEMETRY_MODE` adds the scenario contract of
+/// `check_telemetry_mode`.
 #[test]
 fn env_named_telemetry_json_validates() {
-    let Ok(path) = std::env::var("QT_VALIDATE_TELEMETRY") else {
+    let Some(path) = integration::validate_path("QT_VALIDATE_TELEMETRY") else {
         return;
     };
     let text = std::fs::read_to_string(&path).expect("BENCH_telemetry.json readable");
@@ -379,21 +377,40 @@ fn env_named_telemetry_json_validates() {
             assert!(a["at_us"].as_u64().is_some());
         }
     }
+    let mode = std::env::var("QT_TELEMETRY_MODE").unwrap_or_default();
+    check_telemetry_mode(&v, &mode);
+}
+
+/// The scenario contract `QT_TELEMETRY_MODE` names, checked on a
+/// `BENCH_telemetry.json`: `crash` requires burn-rate alert fires and a
+/// crash flight dump, `healthy` zero alert fires and zero crash dumps.
+/// An empty mode checks the schema alone; any other mode is a typo that
+/// would otherwise pass silently, so it panics.
+fn check_telemetry_mode(v: &serde_json::Value, mode: &str) {
+    let policies = v["policies"].as_array().expect("per-policy sections");
     let fires = v["alert_fires"].as_u64().expect("alert fire count");
     let crash_dumps = policies
         .iter()
         .flat_map(|p| p["flight"]["dumps"].as_array().cloned().unwrap_or_default())
         .filter(|d| d["reason"].as_str() == Some("crash"))
         .count();
-    match std::env::var("QT_TELEMETRY_MODE").as_deref() {
-        Ok("crash") => {
+    match mode {
+        "crash" => {
             assert!(fires > 0, "outage run must fire a burn-rate alert");
             assert!(crash_dumps > 0, "outage run must leave a crash black box");
         }
-        Ok("healthy") => {
+        "healthy" => {
             assert_eq!(fires, 0, "healthy run must not fire alerts");
             assert_eq!(crash_dumps, 0, "healthy run must not dump on crash");
         }
-        _ => {}
+        "" => {}
+        other => panic!("unknown QT_TELEMETRY_MODE {other:?}; accepted: crash, healthy"),
     }
+}
+
+#[test]
+#[should_panic(expected = "unknown QT_TELEMETRY_MODE")]
+fn telemetry_validator_rejects_an_unknown_mode() {
+    let v = serde_json::from_str(r#"{"alert_fires": 0, "policies": []}"#);
+    check_telemetry_mode(&v.unwrap(), "outage");
 }

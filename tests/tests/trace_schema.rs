@@ -215,15 +215,15 @@ fn untraced_run_allocates_no_events() {
 fn env_named_files_validate() {
     // CI smoke: a bench binary ran with --trace-out/--manifest-out and
     // the resulting files are handed to the same validators.
-    if let Ok(path) = std::env::var("QT_VALIDATE_TRACE") {
+    if let Some(path) = integration::validate_path("QT_VALIDATE_TRACE") {
         let text = std::fs::read_to_string(&path).expect("trace file readable");
         validate_chrome(&serde_json::from_str(&text).expect("trace parses"));
-        let jsonl_path = std::path::Path::new(&path).with_extension("jsonl");
+        let jsonl_path = path.with_extension("jsonl");
         if jsonl_path.exists() {
             validate_jsonl(&std::fs::read_to_string(jsonl_path).unwrap());
         }
     }
-    if let Ok(path) = std::env::var("QT_VALIDATE_MANIFEST") {
+    if let Some(path) = integration::validate_path("QT_VALIDATE_MANIFEST") {
         let text = std::fs::read_to_string(&path).expect("manifest file readable");
         validate_manifest(&serde_json::from_str(&text).expect("manifest parses"));
     }
